@@ -22,11 +22,9 @@ pub mod harness;
 use hpm_arch::Architecture;
 use hpm_core::SearchStrategy;
 use hpm_migrate::{
-    resume_from_image, run_migrating, run_migrating_parallel, run_migrating_pipelined,
-    run_migrating_planned, run_migrating_precopy, run_migrating_recorded, run_migrating_resilient,
-    run_migrating_traced, run_straight, run_to_migration, FallbackPolicy, MigratedSource,
-    MigrationPlan, MigrationRun, PipelineConfig, PrecopyConfig, RecoveryPolicy, Trigger,
-    PARALLEL_BYTES_CUTOFF,
+    migrate, resume_from_image, run_migrating, run_migrating_precopy, run_straight,
+    run_to_migration, FallbackPolicy, MigratedSource, MigrationPlan, MigrationRun, Obs,
+    PipelineConfig, Planning, PrecopyConfig, RecoveryPolicy, Route, Trigger, PARALLEL_BYTES_CUTOFF,
 };
 use hpm_net::{FaultPlan, NetworkModel, WireCodec};
 use hpm_obs::{FlightRecorder, Tracer};
@@ -423,14 +421,17 @@ pub fn overhead_rows() -> Vec<OverheadRow> {
         let mut polls = 0;
         for _ in 0..3 {
             let t0 = Instant::now();
-            let run = run_migrating_recorded(
+            let run = migrate(
                 move || Linpack::truncated(n, 4),
                 Architecture::ultra5(),
                 Architecture::ultra5(),
                 NetworkModel::ethernet_100(),
                 Trigger::AtPollCount(2),
-                &Tracer::disabled(),
-                &recorder,
+                Route::Image,
+                &Obs {
+                    recorder: recorder.clone(),
+                    ..Obs::default()
+                },
             )
             .expect("linpack migrates under the recorder ablation");
             wall = wall.min(t0.elapsed());
@@ -495,14 +496,17 @@ pub fn overhead_rows() -> Vec<OverheadRow> {
 /// spans plus every counter group, ready for
 /// [`hpm_obs::chrome_trace_json`].
 pub fn traced_test_pointer_run() -> MigrationRun {
-    let tracer = Tracer::new();
-    run_migrating_traced(
+    migrate(
         TestPointer::new,
         Architecture::dec5000(),
         Architecture::sparc20(),
         NetworkModel::ethernet_10(),
         Trigger::AtPollCount(8),
-        &tracer,
+        Route::Image,
+        &Obs {
+            tracer: Tracer::new(),
+            ..Obs::default()
+        },
     )
     .expect("test_pointer migrates")
 }
@@ -731,29 +735,39 @@ fn wire_row<P: hpm_migrate::MigratableProgram>(
     let sequential_total = t0.elapsed();
 
     // Forced v3 with sequential restore: the compression arm alone.
-    let comp = run_migrating_planned(
+    let comp = migrate(
         make,
         arch.clone(),
         arch.clone(),
         link,
         trigger.clone(),
-        MigrationPlan::forced(1, WireCodec::V3),
+        Route::Planned(Planning::Fixed(MigrationPlan::forced(1, WireCodec::V3))),
+        &Obs::default(),
     )
     .expect("forced-v3 run");
     // Forced v3 plus 4-shard restore: the parallel-restore arm.
-    let par = run_migrating_planned(
+    let par = migrate(
         make,
         arch.clone(),
         arch.clone(),
         link,
         trigger.clone(),
-        MigrationPlan::forced(4, WireCodec::V3),
+        Route::Planned(Planning::Fixed(MigrationPlan::forced(4, WireCodec::V3))),
+        &Obs::default(),
     )
     .expect("forced 4-shard run");
     // The adaptive driver exactly as callers ship it.
     let t1 = Instant::now();
-    let adaptive = run_migrating_parallel(make, arch.clone(), arch.clone(), link, trigger, 4)
-        .expect("adaptive run");
+    let adaptive = migrate(
+        make,
+        arch.clone(),
+        arch.clone(),
+        link,
+        trigger,
+        Route::Planned(Planning::Adaptive { workers: 4 }),
+        &Obs::default(),
+    )
+    .expect("adaptive run");
     let adaptive_total = t1.elapsed();
 
     let t = &comp.report.transfer;
@@ -1088,13 +1102,14 @@ pub fn pipeline_rows() -> Vec<PipelineRow> {
             Trigger::AtPollCount(n),
         )
         .expect("monolithic bitonic migrates");
-        let run = run_migrating_pipelined(
+        let run = migrate(
             move || BitonicSort::new(n),
             Architecture::ultra5(),
             Architecture::ultra5(),
             link,
             Trigger::AtPollCount(n),
-            PipelineConfig::default(),
+            Route::Pipelined(PipelineConfig::default()),
+            &Obs::default(),
         )
         .expect("pipelined bitonic migrates");
         let p = run
@@ -1156,15 +1171,18 @@ fn sweep_policy() -> (PipelineConfig, RecoveryPolicy) {
 
 fn resilient_test_pointer(plan: FaultPlan) -> MigrationRun {
     let (cfg, policy) = sweep_policy();
-    run_migrating_resilient(
+    migrate(
         TestPointer::new,
         Architecture::dec5000(),
         Architecture::sparc20(),
         NetworkModel::ethernet_10(),
         Trigger::AtPollCount(8),
-        cfg,
-        plan,
-        policy,
+        Route::Resilient {
+            config: cfg,
+            faults: plan,
+            policy,
+        },
+        &Obs::default(),
     )
     .expect("resilient driver terminates cleanly under any plan")
 }
@@ -1341,15 +1359,18 @@ fn resume_sweep<P: hpm_migrate::MigratableProgram + Send>(
         fallback: FallbackPolicy::SourceResume,
         resume: true,
     };
-    let clean = run_migrating_resilient(
+    let clean = migrate(
         make,
         src.clone(),
         dst.clone(),
         NetworkModel::ethernet_100(),
         trigger.clone(),
-        cfg,
-        FaultPlan::none(),
-        policy,
+        Route::Resilient {
+            config: cfg,
+            faults: FaultPlan::none(),
+            policy,
+        },
+        &Obs::default(),
     )
     .expect("clean resilient run");
     let total = clean
@@ -1365,15 +1386,18 @@ fn resume_sweep<P: hpm_migrate::MigratableProgram + Send>(
                 dst_crash_at: Some(k),
                 ..FaultPlan::none()
             };
-            let run = run_migrating_resilient(
+            let run = migrate(
                 make,
                 src.clone(),
                 dst.clone(),
                 NetworkModel::ethernet_100(),
                 trigger.clone(),
-                cfg,
-                plan,
-                policy,
+                Route::Resilient {
+                    config: cfg,
+                    faults: plan,
+                    policy,
+                },
+                &Obs::default(),
             )
             .expect("crashed resilient run terminates");
             let resume = run
@@ -1547,43 +1571,52 @@ pub fn telemetry_rows() -> Vec<TelemetryRow> {
     let runs: Vec<(&str, MigrationRun)> = vec![
         (
             "test_pointer",
-            run_migrating_resilient(
+            migrate(
                 TestPointer::new,
                 Architecture::ultra5(),
                 Architecture::ultra5(),
                 link,
                 Trigger::AtPollCount(8),
-                cfg,
-                plan(0x7E1E_0000_0000_0001),
-                policy,
+                Route::Resilient {
+                    config: cfg,
+                    faults: plan(0x7E1E_0000_0000_0001),
+                    policy,
+                },
+                &Obs::default(),
             )
             .expect("telemetry: test_pointer migrates"),
         ),
         (
             "linpack_600",
-            run_migrating_resilient(
+            migrate(
                 || Linpack::truncated(600, 4),
                 Architecture::ultra5(),
                 Architecture::ultra5(),
                 link,
                 Trigger::AtPollCount(2),
-                cfg,
-                plan(0x7E1E_0000_0000_0002),
-                policy,
+                Route::Resilient {
+                    config: cfg,
+                    faults: plan(0x7E1E_0000_0000_0002),
+                    policy,
+                },
+                &Obs::default(),
             )
             .expect("telemetry: linpack migrates"),
         ),
         (
             "bitonic_20000",
-            run_migrating_resilient(
+            migrate(
                 || BitonicSort::new(20_000),
                 Architecture::ultra5(),
                 Architecture::ultra5(),
                 link,
                 Trigger::AtPollCount(20_000),
-                cfg,
-                plan(0x7E1E_0000_0000_0003),
-                policy,
+                Route::Resilient {
+                    config: cfg,
+                    faults: plan(0x7E1E_0000_0000_0003),
+                    policy,
+                },
+                &Obs::default(),
             )
             .expect("telemetry: bitonic migrates"),
         ),

@@ -9,16 +9,17 @@
 //! terminates. At the same time, the new process restores the transmitted
 //! execution and memory states, and resumes execution."
 //!
-//! The [`driver`](crate::driver) runs both sides in one thread for
+//! [`migrate`](crate::migrate) runs both sides in one thread for
 //! deterministic measurement; this module runs them as genuinely
 //! concurrent machines connected by an [`hpm_net::Channel`], with the
 //! scheduler (the caller's thread) delivering the migration request.
 
-use crate::ctx::{MigCtx, MigratableProgram};
-use crate::driver::{collect_image, resume_from_image};
-use crate::process::{Process, Trigger};
-use crate::{Flow, MigError};
+use crate::ctx::MigratableProgram;
+use crate::driver::{freeze, resume_from_image, Frozen};
+use crate::process::Trigger;
+use crate::MigError;
 use hpm_arch::Architecture;
+use hpm_core::image::frame_image;
 use hpm_net::{channel_pair, NetworkModel, TransferSnapshot};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -64,15 +65,6 @@ impl TwoMachineCluster {
         }
     }
 
-    /// The paper's Table 1 testbed: Ultra 5 → Ultra 5 over 100 Mb/s.
-    pub fn paper_homogeneous() -> Self {
-        TwoMachineCluster {
-            src_arch: Architecture::ultra5(),
-            dst_arch: Architecture::ultra5(),
-            link: NetworkModel::ethernet_100(),
-        }
-    }
-
     /// Run `make()`-built programs on both machines, with the scheduler
     /// delivering the migration request `request_delay_ms` after launch
     /// (0 = before the source observes its first poll-point). The source
@@ -95,11 +87,8 @@ impl TwoMachineCluster {
         let make_dst = Arc::clone(&make);
         let dst_thread = std::thread::spawn(move || -> Result<_, MigError> {
             let image = dst_end.recv()?;
-            let mut prog = make_dst();
-            let t0 = std::time::Instant::now();
             let (results, _proc, _stats, restore_time) =
-                resume_from_image(&mut prog, dst_arch, &image)?;
-            let _total = t0.elapsed();
+                resume_from_image(&mut make_dst(), dst_arch, &image)?;
             Ok((results, restore_time, image.len() as u64))
         });
 
@@ -108,19 +97,12 @@ impl TwoMachineCluster {
         let src_flag = Arc::clone(&flag);
         let make_src = Arc::clone(&make);
         let src_thread = std::thread::spawn(move || -> Result<_, MigError> {
-            let mut prog = make_src();
-            let mut proc = Process::new(prog.name(), src_arch);
-            proc.set_trigger(Trigger::External(src_flag));
-            prog.setup(&mut proc)?;
-            let mut ctx = MigCtx::new_run(&mut proc);
-            let flow = prog.run(&mut ctx)?;
-            if flow == Flow::Done {
-                return Err(MigError::Protocol(
-                    "source completed before the migration request arrived".into(),
-                ));
-            }
-            let (image, collect_time, _stats, _exec, _audit) = collect_image(ctx)?;
-            let polls = proc.poll_count();
+            let Frozen { mut src, .. } = freeze(&*make_src, src_arch, Trigger::External(src_flag))?;
+            let t0 = std::time::Instant::now();
+            let (payload, exec, _stats) = src.collect()?;
+            let collect_time = t0.elapsed();
+            let image = frame_image(&src.proc.image_header(), &exec.encode(), &payload);
+            let polls = src.proc.poll_count();
             src_end.send(image)?;
             // "After successful transmission, the migrating process
             // terminates": the thread returns, dropping the process.

@@ -35,7 +35,7 @@ use hpm_core::{
     Collector, CoreError, RestoreStats, Restorer, ShardReport, TranslationMode,
 };
 use hpm_memory::FrameId;
-use hpm_obs::{StatGroup, Tracer};
+use hpm_obs::{FlightTrack, StatGroup, Tracer};
 use hpm_types::TypeId;
 use std::time::{Duration, Instant};
 
@@ -134,14 +134,12 @@ pub struct MigCtx<'p> {
     finished_restore: Option<(RestoreStats, Duration)>,
     /// Time spent blocked waiting on the chunk source (streamed resumes).
     finished_stall: Duration,
-    /// Chunks pulled from the source during restoration (streamed resumes).
-    finished_chunks: u64,
     /// Instant the final `restore_frame` completed.
     finished_at: Option<Instant>,
     tracer: Tracer,
     /// Flight-recorder track attached to every [`Restorer`] this context
     /// creates (post-mortem restore progress); `None` is free.
-    flight: Option<hpm_obs::FlightTrack>,
+    flight: Option<FlightTrack>,
     /// Shards for monolithic (`Whole`) restoration; 1 = sequential.
     restore_workers: usize,
     /// Per-shard accounting accumulated by parallel `restore_frame`s.
@@ -157,7 +155,6 @@ impl<'p> MigCtx<'p> {
             func_stack: Vec::new(),
             finished_restore: None,
             finished_stall: Duration::ZERO,
-            finished_chunks: 0,
             finished_at: None,
             tracer: Tracer::disabled(),
             flight: None,
@@ -189,7 +186,7 @@ impl<'p> MigCtx<'p> {
 
     /// Attach a flight-recorder track: every restored variable leaves a
     /// `var.restored` event on it (see [`Restorer::with_flight`]).
-    pub fn set_flight(&mut self, flight: hpm_obs::FlightTrack) {
+    pub fn set_flight_track(&mut self, flight: FlightTrack) {
         self.flight = Some(flight);
     }
 
@@ -221,26 +218,16 @@ impl<'p> MigCtx<'p> {
     ) -> Self {
         proc.msrlt.reserve_heap_indices(exec.heap_high_water);
         let n = exec.frames.len();
-        MigCtx {
-            proc,
-            mode: Mode::Resume(Box::new(ResumeState {
-                frames: exec.frames,
-                source,
-                restored_down_to: n,
-                entered: 0,
-                stats: RestoreStats::default(),
-                restore_time: Duration::ZERO,
-            })),
-            func_stack: Vec::new(),
-            finished_restore: None,
-            finished_stall: Duration::ZERO,
-            finished_chunks: 0,
-            finished_at: None,
-            tracer: Tracer::disabled(),
-            flight: None,
-            restore_workers: 1,
-            restore_shards: None,
-        }
+        let mut ctx = Self::new_run(proc);
+        ctx.mode = Mode::Resume(Box::new(ResumeState {
+            frames: exec.frames,
+            source,
+            restored_down_to: n,
+            entered: 0,
+            stats: RestoreStats::default(),
+            restore_time: Duration::ZERO,
+        }));
+        ctx
     }
 
     /// The underlying process (workload computation goes through this).
@@ -375,6 +362,13 @@ impl<'p> MigCtx<'p> {
             )));
         }
         let function = frame.function.clone();
+        // A stream that ends mid-frame names the frame it starved.
+        let truncated = |e: CoreError| match &e {
+            CoreError::TruncatedChunk { .. } => {
+                MigError::Protocol(format!("restoring frame '{function}' (depth {depth}): {e}"))
+            }
+            _ => MigError::from(e),
+        };
         let is_final = r.restored_down_to == 1;
         let t0 = Instant::now();
         self.tracer.begin_args(
@@ -402,12 +396,7 @@ impl<'p> MigCtx<'p> {
                 TranslationMode::default(),
                 self.flight.as_ref(),
             )
-            .map_err(|e| match &e {
-                CoreError::TruncatedChunk { .. } => {
-                    MigError::Protocol(format!("restoring frame '{function}' (depth {depth}): {e}"))
-                }
-                _ => MigError::from(e),
-            })?;
+            .map_err(truncated)?;
             // The final frame must drain the stream exactly, same as the
             // sequential path's `finish`.
             if is_final && consumed != rest.len() {
@@ -435,12 +424,7 @@ impl<'p> MigCtx<'p> {
                 restorer = restorer.with_flight(t.clone());
             }
             for &addr in live {
-                restorer.restore_variable(addr).map_err(|e| match &e {
-                    CoreError::TruncatedChunk { .. } => MigError::Protocol(format!(
-                        "restoring frame '{function}' (depth {depth}): {e}"
-                    )),
-                    _ => MigError::from(e),
-                })?;
+                restorer.restore_variable(addr).map_err(truncated)?;
             }
             let consumed = restorer.consumed();
             // The final frame must drain the stream exactly: leftover
@@ -470,23 +454,17 @@ impl<'p> MigCtx<'p> {
         if r.restored_down_to == 0 {
             let stats = r.stats;
             let time = r.restore_time;
-            let (stall, chunks) = match &r.source {
-                PayloadSource::Chunked(cp) => (cp.stall_time(), cp.chunks_pulled()),
-                PayloadSource::Whole { .. } => (Duration::ZERO, 0),
+            let stall = match &r.source {
+                PayloadSource::Chunked(cp) => cp.stall_time(),
+                PayloadSource::Whole { .. } => Duration::ZERO,
             };
             self.mode = Mode::Run;
             // Preserve totals for the driver.
             self.finished_restore = Some((stats, time));
             self.finished_stall = stall;
-            self.finished_chunks = chunks;
             self.finished_at = Some(Instant::now());
         }
         Ok(())
-    }
-
-    /// Whether the context is currently resuming (restoration pending).
-    pub fn is_resuming(&self) -> bool {
-        matches!(self.mode, Mode::Resume(_))
     }
 
     /// Whether the *current* frame is the next one that must call
@@ -510,17 +488,6 @@ impl<'p> MigCtx<'p> {
         }
     }
 
-    /// Split into the borrowed process and the recorded frames — the
-    /// collection driver needs both at once.
-    pub fn into_parts(self) -> Result<(&'p mut Process, Vec<PendingFrame>), MigError> {
-        match self.mode {
-            Mode::Unwind(frames) => Ok((self.proc, frames)),
-            _ => Err(MigError::Protocol(
-                "program did not unwind for migration".into(),
-            )),
-        }
-    }
-
     /// Restoration totals once every frame has been restored.
     pub fn restore_totals(&self) -> Option<(RestoreStats, Duration)> {
         self.finished_restore
@@ -532,12 +499,6 @@ impl<'p> MigCtx<'p> {
         self.finished_stall
     }
 
-    /// Chunks pulled from the stream during restoration (zero for
-    /// monolithic resumes).
-    pub fn restore_chunks(&self) -> u64 {
-        self.finished_chunks
-    }
-
     /// Instant the final `restore_frame` completed — the pipeline's
     /// end-to-end endpoint (resumed computation continues after it).
     pub fn restore_completed_at(&self) -> Option<Instant> {
@@ -547,28 +508,21 @@ impl<'p> MigCtx<'p> {
 
 /// Collect the recorded frames into a memory-state payload plus the
 /// execution state (outermost-first), using one MSRM collection session.
-pub fn collect_pending(
-    proc: &mut Process,
-    pending: &[PendingFrame],
-) -> Result<(Vec<u8>, ExecutionState, CollectStats), MigError> {
-    collect_pending_traced(proc, pending, &Tracer::disabled())
-}
-
-/// [`collect_pending`] with a tracer attached to the [`Collector`]: the
-/// DFS emits `msrlt.search` spans and `collect.block` instants.
-pub fn collect_pending_traced(
+/// The DFS emits `msrlt.search` spans and `collect.block` instants on
+/// `tracer`.
+pub(crate) fn collect_pending(
     proc: &mut Process,
     pending: &[PendingFrame],
     tracer: &Tracer,
+    flight: Option<FlightTrack>,
 ) -> Result<(Vec<u8>, ExecutionState, CollectStats), MigError> {
     let exec = pending_exec_state(proc, pending);
     let mut collector =
         Collector::new(&mut proc.space, &mut proc.msrlt).with_tracer(tracer.clone());
-    for frame in pending {
-        for &addr in &frame.live {
-            collector.save_variable(addr).map_err(MigError::from)?;
-        }
+    if let Some(t) = flight {
+        collector = collector.with_flight(t);
     }
+    save_live(&mut collector, pending)?;
     let (payload, stats) = collector.finish();
     Ok((payload, exec, stats))
 }
@@ -577,23 +531,13 @@ pub fn collect_pending_traced(
 /// live variables become the parallel collector's roots, and the
 /// spliced payload is byte-identical to the sequential one. Worker
 /// search traffic is folded back into the process's MSRLT counters so
-/// reports stay comparable.
-pub fn collect_pending_parallel(
+/// reports stay comparable. Also returns the per-shard [`ShardReport`]
+/// (imbalance telemetry).
+pub(crate) fn collect_pending_parallel(
     proc: &mut Process,
     pending: &[PendingFrame],
     workers: usize,
-) -> Result<(Vec<u8>, ExecutionState, CollectStats), MigError> {
-    let (payload, exec, stats, _) = collect_pending_parallel_flight(proc, pending, workers, None)?;
-    Ok((payload, exec, stats))
-}
-
-/// [`collect_pending_parallel`] plus the per-shard [`ShardReport`]
-/// (imbalance telemetry) and optional flight-recorder events.
-pub fn collect_pending_parallel_flight(
-    proc: &mut Process,
-    pending: &[PendingFrame],
-    workers: usize,
-    flight: Option<&hpm_obs::FlightTrack>,
+    flight: Option<&FlightTrack>,
 ) -> Result<(Vec<u8>, ExecutionState, CollectStats, ShardReport), MigError> {
     let exec = pending_exec_state(proc, pending);
     let roots: Vec<u64> = pending
@@ -616,7 +560,7 @@ pub fn collect_pending_parallel_flight(
 /// The execution state the recorded frames will ship — computable before
 /// collection runs, which is what lets the pipelined path send the image
 /// prefix while `Save_pointer` is still traversing.
-pub fn pending_exec_state(proc: &Process, pending: &[PendingFrame]) -> ExecutionState {
+pub(crate) fn pending_exec_state(proc: &Process, pending: &[PendingFrame]) -> ExecutionState {
     ExecutionState {
         frames: pending
             .iter()
@@ -631,29 +575,18 @@ pub fn pending_exec_state(proc: &Process, pending: &[PendingFrame]) -> Execution
     }
 }
 
-/// [`collect_pending_traced`], but the payload leaves through `sink` in
+/// [`collect_pending`], but the payload leaves through `sink` in
 /// `chunk_bytes`-sized chunks as the DFS produces it, instead of
-/// accumulating in memory. Concatenating the chunks yields exactly the
+/// accumulating in memory; every flushed chunk leaves a `chunk.flush`
+/// event on `flight`. Concatenating the chunks yields exactly the
 /// monolithic payload.
-pub fn collect_pending_streamed<'a>(
+pub(crate) fn collect_pending_streamed<'a>(
     proc: &'a mut Process,
     pending: &[PendingFrame],
     chunk_bytes: usize,
-    tracer: &Tracer,
     sink: ChunkSink<'a>,
-) -> Result<(ExecutionState, CollectStats), MigError> {
-    collect_pending_streamed_flight(proc, pending, chunk_bytes, tracer, sink, None)
-}
-
-/// [`collect_pending_streamed`] with an optional flight-recorder track
-/// on the collector: every flushed chunk leaves a `chunk.flush` event.
-pub fn collect_pending_streamed_flight<'a>(
-    proc: &'a mut Process,
-    pending: &[PendingFrame],
-    chunk_bytes: usize,
     tracer: &Tracer,
-    sink: ChunkSink<'a>,
-    flight: Option<hpm_obs::FlightTrack>,
+    flight: Option<FlightTrack>,
 ) -> Result<(ExecutionState, CollectStats), MigError> {
     let exec = pending_exec_state(proc, pending);
     let mut collector = Collector::new(&mut proc.space, &mut proc.msrlt)
@@ -662,11 +595,17 @@ pub fn collect_pending_streamed_flight<'a>(
     if let Some(t) = flight {
         collector = collector.with_flight(t);
     }
-    for frame in pending {
-        for &addr in &frame.live {
-            collector.save_variable(addr).map_err(MigError::from)?;
-        }
-    }
+    save_live(&mut collector, pending)?;
     let (_, stats) = collector.finish();
     Ok((exec, stats))
+}
+
+/// Save every recorded frame's live variables, innermost frame first.
+fn save_live(collector: &mut Collector<'_>, pending: &[PendingFrame]) -> Result<(), MigError> {
+    for frame in pending {
+        for &addr in &frame.live {
+            collector.save_variable(addr)?;
+        }
+    }
+    Ok(())
 }

@@ -1,35 +1,42 @@
-//! Single-pair migration driver: run, migrate, resume, report.
+//! The migration engine: run, freeze, collect, ship, restore, report.
 //!
 //! Produces the paper's headline measurement triplet — **Collect**, **Tx**,
 //! **Restore** (Table 1: "We define process migration time as the total of
 //! data collection (Collect), transmission (Tx), and restoration (Restore)
 //! time") — plus every §4.2 instrumentation counter.
+//!
+//! Every migration runs through [`migrate`]: the source runs to its
+//! migration point and passes the registry audit, then the [`Route`]
+//! decides how the image travels — as one message ([`Route::Image`]), as
+//! planned chunks ([`Route::Planned`]), or streamed while collection is
+//! still running ([`Route::Pipelined`], [`Route::Resilient`]). All routes
+//! open the destination the same way and fill in the same report.
 
 use crate::ctx::{
-    collect_pending, collect_pending_parallel, collect_pending_parallel_flight,
-    collect_pending_streamed, collect_pending_streamed_flight, collect_pending_traced,
-    pending_exec_state, MigCtx, MigratableProgram, PendingFrame,
+    collect_pending, collect_pending_parallel, collect_pending_streamed, pending_exec_state,
+    MigCtx, MigratableProgram, PendingFrame,
 };
 use crate::exec::ExecutionState;
 use crate::process::{Process, Trigger};
 use crate::{Flow, MigError};
 use hpm_arch::Architecture;
-use hpm_core::image::{frame_image, frame_image_prefix, unframe_image, ImageHeader};
+use hpm_core::image::{frame_image, frame_image_prefix, unframe_image};
 use hpm_core::{
     audit_registry, ChunkPayload, ChunkSource, CollectStats, CoreError, MsrltStats,
-    RegistryAuditStats, RegistryFinding, ReplaySource, RestoreStats, ShardReport, IMAGE_VERSION,
+    RegistryAuditStats, RegistryFinding, ReplaySource, RestoreStats, ShardReport,
 };
 use hpm_net::{
-    channel_pair, ArqConfig, ArqReceiverSnapshot, ArqSenderStats, ChunkReceiver, ChunkSender,
-    FaultPlan, FaultStats, FaultyEndpoint, NetError, NetworkModel, ReliableChunkReceiver,
-    ReliableChunkSender, ResumeDecision, TransferSnapshot, WireCodec,
+    channel_pair, ArqConfig, ArqReceiverSnapshot, ArqSenderStats, Channel, ChunkReceiver,
+    ChunkSender, FaultPlan, FaultStats, FaultyEndpoint, NetError, NetworkModel,
+    ReliableChunkReceiver, ReliableChunkSender, ResumeDecision, TransferSnapshot, WireCodec,
 };
 use hpm_obs::{
     render_groups, snapshot, FlightDump, FlightRecorder, FlightTrack, Histogram, HistogramSnapshot,
-    StatField, StatGroup, TraceLog, Tracer,
+    Obs, StatField, StatGroup, TraceLog, Tracer,
 };
 use hpm_xdr::{image_id, ChunkRecord, RestoreJournal};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -60,30 +67,29 @@ pub struct MigrationReport {
     pub chain_depth: usize,
     /// Wire-level transfer accounting (the `Tx` column comes from here).
     pub transfer: TransferSnapshot,
-    /// Full event trace of the migration, when one was requested via
-    /// [`run_migrating_traced`]; `None` for untraced runs.
+    /// Full event trace of the migration when [`Obs::tracer`] was
+    /// enabled; `None` for untraced runs.
     pub trace: Option<TraceLog>,
-    /// Pipeline measurements, for runs through
-    /// [`run_migrating_pipelined`]; `None` for monolithic runs.
+    /// Pipeline measurements, for [`Route::Pipelined`] and
+    /// [`Route::Resilient`]; `None` for monolithic runs.
     pub pipeline: Option<PipelineStats>,
-    /// Fault-recovery measurements, for runs through
-    /// [`run_migrating_resilient`]; `None` otherwise.
+    /// Fault-recovery measurements, for [`Route::Resilient`]; `None`
+    /// otherwise.
     pub recovery: Option<RecoveryStats>,
-    /// Pre-flight registry-audit counters, for drivers that audit the
-    /// MSRLT snapshot before collecting; `None` for paths that skip it.
+    /// Pre-flight registry-audit counters (every route audits the MSRLT
+    /// snapshot before collecting).
     pub registry_audit: Option<RegistryAuditStats>,
-    /// Per-shard parallel-collection accounting, for runs through
-    /// [`run_migrating_parallel`]; `None` for sequential collection.
+    /// Per-shard parallel-collection accounting, for sharded
+    /// [`Route::Planned`] runs; `None` for sequential collection.
     pub shards: Option<ShardReport>,
     /// Per-shard parallel-restoration accounting; `None` when every
     /// frame restored sequentially.
     pub restore_shards: Option<ShardReport>,
-    /// What the adaptive planner decided for this run; `None` for
-    /// drivers that don't consult it.
+    /// What the planner decided, for [`Route::Planned`]; `None` for
+    /// routes that don't consult it.
     pub plan: Option<MigrationPlan>,
-    /// How far down the degradation ladder this run went and what the
-    /// resume machinery saved, for runs through
-    /// [`run_migrating_resilient`]; `None` otherwise.
+    /// How far down the degradation ladder the run went and what the
+    /// resume machinery saved, for [`Route::Resilient`]; `None` otherwise.
     pub resume: Option<ResumeStats>,
     /// Flight-recorder dump captured when the run hit a fallback path;
     /// `None` for clean runs (the recorder stays bounded and unread).
@@ -149,50 +155,154 @@ pub struct MigrationRun {
     pub results: Vec<(String, String)>,
 }
 
-/// Shared tail of every driver: attach each of the report's StatGroups
-/// to the trace log when a tracer ran, then wrap up the run. The four
-/// drivers all finish through here instead of hand-rolling attachment.
-fn report_migration(
-    tracer: &Tracer,
-    mut report: MigrationReport,
-    results: Vec<(String, String)>,
-) -> MigrationRun {
-    if tracer.enabled() {
-        let mut log = tracer.take_log();
-        for (group, fields) in report.stat_groups() {
+/// How the migration image travels from source to destination.
+#[derive(Debug, Clone, Copy)]
+pub enum Route {
+    /// Sequential collection; the framed image ships as one channel
+    /// message (`messages_sent == 1`, `bytes_sent == image_bytes`) — the
+    /// Collect + Tx + Restore of Table 1.
+    Image,
+    /// Planned collection and restoration: sequential or sharded, with
+    /// the image shipped as [`WIRE_CHUNK_BYTES`] frames under the plan's
+    /// codec. The shipped image and the restored process are
+    /// byte-identical to [`Route::Image`]'s in every configuration.
+    Planned(Planning),
+    /// Collection, transmission and restoration overlap: the collector
+    /// flushes [`PipelineConfig::chunk_bytes`]-sized chunks, a wire
+    /// thread paces each by its modeled transmission time, and the
+    /// destination restores frame *k* while chunk *k+1* is in flight.
+    /// The image prefix (header + execution state) travels as chunk 0.
+    Pipelined(PipelineConfig),
+    /// [`Route::Pipelined`] over a lossy link: chunks ride an ARQ stream
+    /// behind the fault injector `faults`, the destination journals every
+    /// CRC-verified chunk, and a dead stream walks the degradation ladder
+    /// under `policy` — resume from the journal, then the fallback.
+    Resilient {
+        /// Chunking, pacing and codec.
+        config: PipelineConfig,
+        /// The deterministic fault injector ([`FaultPlan::none`] for a
+        /// clean but still CRC- and ack-protected run).
+        faults: FaultPlan,
+        /// Retry budget, ladder switches and fallback.
+        policy: RecoveryPolicy,
+    },
+}
+
+/// Where a [`Route::Planned`] run's [`MigrationPlan`] comes from.
+#[derive(Debug, Clone, Copy)]
+pub enum Planning {
+    /// The adaptive planner ([`plan_migration`]) with up to `workers`
+    /// shards: sequential and stored below the cutoffs.
+    Adaptive {
+        /// Shards requested once the image is past
+        /// [`PARALLEL_BYTES_CUTOFF`].
+        workers: usize,
+    },
+    /// A caller-fixed plan, bypassing the cutoffs (benchmarks and tests
+    /// exercising one arm). Its `registered_bytes` is replaced with the
+    /// actual count.
+    Fixed(MigrationPlan),
+}
+
+/// Full migration experiment: run on `src_arch`, migrate at `trigger`
+/// over `link` along `route`, resume on `dst_arch`, return results plus
+/// report.
+///
+/// `make` constructs a fresh program value for each side (the two sides
+/// are separate processes running the same executable). With an enabled
+/// [`Obs::tracer`] the report carries the drained [`TraceLog`] — nested
+/// `collect` (∋ `msrlt.search`), `tx` (∋ `net.send`) and per-frame
+/// `restore` spans — with every counter group attached. A failing run,
+/// or one that fell back, writes its flight dump to `$HPM_FLIGHT_DUMP`
+/// when that variable names a path.
+pub fn migrate<P: MigratableProgram>(
+    make: impl Fn() -> P,
+    src_arch: Architecture,
+    dst_arch: Architecture,
+    link: NetworkModel,
+    trigger: Trigger,
+    route: Route,
+    obs: &Obs,
+) -> Result<MigrationRun, MigError> {
+    let run = freeze(&make, src_arch, trigger).and_then(|frozen| match route {
+        Route::Image => monolithic(&make, frozen, dst_arch, link, None, obs),
+        Route::Planned(planning) => monolithic(&make, frozen, dst_arch, link, Some(planning), obs),
+        Route::Pipelined(config) => streamed(&make, frozen, dst_arch, link, config, None, obs),
+        Route::Resilient {
+            config,
+            faults,
+            policy,
+        } => streamed(
+            &make,
+            frozen,
+            dst_arch,
+            link,
+            config,
+            Some((faults, policy)),
+            obs,
+        ),
+    });
+    let mut run = run.inspect_err(|_| persist_flight_dump(&obs.recorder.dump()))?;
+    if let Some(dump) = &run.report.flight {
+        persist_flight_dump(dump);
+    }
+    if obs.tracer.enabled() {
+        let mut log = obs.tracer.take_log();
+        for (group, fields) in run.report.stat_groups() {
             log.attach_stats(group, fields);
         }
-        report.trace = Some(log);
+        run.report.trace = Some(log);
     }
-    MigrationRun { report, results }
+    Ok(run)
 }
 
-/// The migration-image header for a frozen process (shared by every
-/// driver and by [`MigratedSource`]).
-fn image_header(proc: &Process) -> ImageHeader {
-    ImageHeader {
-        version: IMAGE_VERSION,
-        source_arch: proc.space.arch().name.to_string(),
-        source_pointer_size: proc.space.arch().pointer_size as u32,
-        program: proc.program().to_string(),
-        registered_bytes: proc.msrlt.registered_bytes(),
-    }
+/// [`migrate`] along [`Route::Image`], untraced: the paper's
+/// stop-and-copy migration.
+pub fn run_migrating<P: MigratableProgram>(
+    make: impl Fn() -> P,
+    src_arch: Architecture,
+    dst_arch: Architecture,
+    link: NetworkModel,
+    trigger: Trigger,
+) -> Result<MigrationRun, MigError> {
+    migrate(
+        make,
+        src_arch,
+        dst_arch,
+        link,
+        trigger,
+        Route::Image,
+        &Obs::default(),
+    )
 }
 
-/// Shared driver preamble: run `prog` on `proc` until its trigger fires,
-/// returning the frozen process and the recorded unwind frames.
-fn run_to_parts<'p, P: MigratableProgram>(
-    prog: &mut P,
-    proc: &'p mut Process,
-) -> Result<(&'p mut Process, Vec<PendingFrame>), MigError> {
-    let mut ctx = MigCtx::new_run(proc);
-    let flow = prog.run(&mut ctx)?;
-    if flow == Flow::Done {
-        return Err(MigError::Protocol(
-            "trigger never fired; program completed on the source".into(),
-        ));
+/// A source stopped at its migration point with a clean registry audit:
+/// the input of every route.
+pub(crate) struct Frozen {
+    pub src: MigratedSource,
+    pub audit: RegistryAuditStats,
+}
+
+/// Run a fresh `make()` program on `arch` until `trigger` fires, audit
+/// its MSRLT snapshot (refusing an incoherent one with
+/// [`MigError::Preflight`]), and reset the counters collection reports.
+pub(crate) fn freeze<P: MigratableProgram>(
+    make: &impl Fn() -> P,
+    arch: Architecture,
+    trigger: Trigger,
+) -> Result<Frozen, MigError> {
+    let mut src = run_to_migration(&mut make(), arch, trigger)?;
+    let (findings, audit) = src.preflight_audit()?;
+    if !findings.is_empty() {
+        let msg = findings
+            .iter()
+            .map(|f| f.to_string())
+            .collect::<Vec<_>>()
+            .join("\n");
+        return Err(MigError::Preflight(msg));
     }
-    ctx.into_parts()
+    src.proc.msrlt.reset_stats();
+    Ok(Frozen { src, audit })
 }
 
 /// Best-effort persistence of a flight dump for CI forensics: when
@@ -204,6 +314,194 @@ fn persist_flight_dump(dump: &FlightDump) {
             let _ = std::fs::write(path, dump.to_jsonl());
         }
     }
+}
+
+/// The report fields every route fills the same way; route-specific
+/// groups (`pipeline`, `recovery`, `plan`, …) start out `None`.
+fn build_report(
+    src: &Process,
+    chain_depth: usize,
+    audit: RegistryAuditStats,
+    (collect_stats, collect_time): (CollectStats, Duration),
+    image_bytes: u64,
+    transfer: TransferSnapshot,
+    dst: &Restored,
+) -> MigrationReport {
+    MigrationReport {
+        image_bytes,
+        memory_bytes: collect_stats.bytes_out,
+        collect_time,
+        tx_time: transfer.modeled_tx_time(),
+        restore_time: dst.time,
+        collect_stats,
+        src_msrlt: src.msrlt.stats(),
+        restore_stats: dst.stats,
+        dst_msrlt: dst.proc.msrlt.stats(),
+        src_polls: src.poll_count(),
+        chain_depth,
+        transfer,
+        trace: None,
+        pipeline: None,
+        recovery: None,
+        registry_audit: Some(audit),
+        shards: None,
+        restore_shards: dst.shards.clone(),
+        plan: None,
+        resume: None,
+        flight: None,
+    }
+}
+
+/// How [`open_destination`] sets up the resumed process.
+#[derive(Default)]
+pub(crate) struct Dst {
+    /// Arm the resumed process so it may freeze again (pre-copy rounds,
+    /// scheduler slices); with `None` a second migration is an error.
+    pub trigger: Option<Trigger>,
+    /// Shards for monolithic restoration (0 or 1 = sequential).
+    pub workers: usize,
+    /// The rest of the payload, still arriving; `None` when the image
+    /// handed to [`open_destination`] is complete.
+    pub stream: Option<Box<dyn ChunkSource + Send>>,
+    /// Receives a `restore` span per frame.
+    pub tracer: Tracer,
+    /// Receives a `var.restored` event per restored variable.
+    pub flight: Option<FlightTrack>,
+}
+
+/// A destination whose every frame restored and whose program finished.
+pub(crate) struct Restored {
+    pub results: Vec<(String, String)>,
+    pub proc: Process,
+    pub stats: RestoreStats,
+    pub time: Duration,
+    /// Time restoration waited for chunks (zero for a complete image).
+    pub stall: Duration,
+    pub done_at: Option<Instant>,
+    pub shards: Option<ShardReport>,
+}
+
+/// How a destination left [`open_destination`].
+pub(crate) enum Opened {
+    /// The program finished after restoring every frame.
+    Completed(Restored),
+    /// The armed trigger fired: the process froze at a migration point.
+    Frozen(MigratedSource),
+}
+
+/// Open the destination: check the image is for `program`, build a fresh
+/// process on `arch` reserving the source's heap high-water mark, re-enter
+/// the recorded call chain, restore, and run the program on.
+///
+/// `image` is the complete image, or — with [`Dst::stream`] — its first
+/// chunk. A program that finishes without restoring every frame is an
+/// error on every path.
+pub(crate) fn open_destination<P: MigratableProgram>(
+    program: &mut P,
+    arch: Architecture,
+    image: &[u8],
+    dst: Dst,
+) -> Result<Opened, MigError> {
+    let (header, exec_bytes, payload) = unframe_image(image)?;
+    if header.program != program.name() {
+        return Err(MigError::Protocol(format!(
+            "image is for program '{}', not '{}'",
+            header.program,
+            program.name()
+        )));
+    }
+    let exec = ExecutionState::decode(&exec_bytes)?;
+    let mut proc = Process::new(program.name(), arch);
+    proc.space.reserve_heap_bytes(header.registered_bytes);
+    let may_freeze = dst.trigger.is_some();
+    if let Some(trigger) = dst.trigger {
+        proc.set_trigger(trigger);
+    }
+    program.setup(&mut proc)?;
+    proc.msrlt.reset_stats();
+    let mut ctx = match dst.stream {
+        None => MigCtx::new_resume(&mut proc, exec, payload),
+        Some(rest) => {
+            MigCtx::new_resume_streaming(&mut proc, exec, ChunkPayload::with_initial(rest, payload))
+        }
+    };
+    ctx.set_tracer(dst.tracer);
+    ctx.set_restore_workers(dst.workers);
+    if let Some(track) = dst.flight {
+        ctx.set_flight_track(track);
+    }
+    if program.run(&mut ctx)? == Flow::Migrate {
+        if !may_freeze {
+            return Err(MigError::Protocol("resumed program migrated again".into()));
+        }
+        let pending = ctx.into_pending_frames()?;
+        return Ok(Opened::Frozen(MigratedSource { proc, pending }));
+    }
+    let (stats, time) = ctx.restore_totals().ok_or_else(|| {
+        MigError::Protocol("program finished without restoring all frames".into())
+    })?;
+    let (stall, done_at, shards) = (
+        ctx.restore_stall(),
+        ctx.restore_completed_at(),
+        ctx.restore_shards(),
+    );
+    let results = program.results(&mut proc)?;
+    Ok(Opened::Completed(Restored {
+        results,
+        proc,
+        stats,
+        time,
+        stall,
+        done_at,
+        shards,
+    }))
+}
+
+/// [`open_destination`] with no trigger armed: the program must finish.
+fn resume<P: MigratableProgram>(
+    program: &mut P,
+    arch: Architecture,
+    image: &[u8],
+    dst: Dst,
+) -> Result<Restored, MigError> {
+    match open_destination(program, arch, image, dst)? {
+        Opened::Completed(restored) => Ok(restored),
+        Opened::Frozen(_) => unreachable!("a destination without a trigger never freezes"),
+    }
+}
+
+/// What [`resume_from_image`] yields: results, the completed process,
+/// restoration stats, and restoration wall time.
+pub type ResumeOutcome = (Vec<(String, String)>, Process, RestoreStats, Duration);
+
+/// Resume a program from a migration image on a fresh process.
+///
+/// Returns the completed program's results plus restoration measurements.
+pub fn resume_from_image<P: MigratableProgram>(
+    program: &mut P,
+    arch: Architecture,
+    image: &[u8],
+) -> Result<ResumeOutcome, MigError> {
+    let r = resume(program, arch, image, Dst::default())?;
+    Ok((r.results, r.proc, r.stats, r.time))
+}
+
+/// [`resume_from_image`] with monolithic restoration sharded across
+/// `workers` threads (see [`MigCtx::set_restore_workers`]); the restored
+/// process is byte-identical to the sequential path's. Also returns the
+/// per-shard accounting when any frame actually sharded.
+pub fn resume_from_image_parallel<P: MigratableProgram>(
+    program: &mut P,
+    arch: Architecture,
+    image: &[u8],
+    workers: usize,
+) -> Result<(ResumeOutcome, Option<ShardReport>), MigError> {
+    let dst = Dst {
+        workers,
+        ..Dst::default()
+    };
+    let r = resume(program, arch, image, dst)?;
+    Ok(((r.results, r.proc, r.stats, r.time), r.shards))
 }
 
 /// Run a program to completion with no migration; returns its results.
@@ -235,7 +533,7 @@ pub struct MigratedSource {
     /// The frozen source process.
     pub proc: Process,
     /// The recorded unwind frames, innermost first.
-    pub pending: Vec<crate::ctx::PendingFrame>,
+    pub pending: Vec<PendingFrame>,
 }
 
 /// Run a program until its trigger fires, returning the frozen process
@@ -251,7 +549,9 @@ pub fn run_to_migration<P: MigratableProgram>(
     let mut ctx = MigCtx::new_run(&mut proc);
     let flow = program.run(&mut ctx)?;
     if flow == Flow::Done {
-        return Err(MigError::Protocol("trigger never fired".into()));
+        return Err(MigError::Protocol(
+            "trigger never fired; program completed on the source".into(),
+        ));
     }
     let pending = ctx.into_pending_frames()?;
     Ok(MigratedSource { proc, pending })
@@ -260,7 +560,7 @@ pub fn run_to_migration<P: MigratableProgram>(
 impl MigratedSource {
     /// Collect the memory-state payload once (repeatable).
     pub fn collect(&mut self) -> Result<(Vec<u8>, ExecutionState, CollectStats), MigError> {
-        collect_pending(&mut self.proc, &self.pending)
+        collect_pending(&mut self.proc, &self.pending, &Tracer::disabled(), None)
     }
 
     /// Collect with `workers` parallel shards; byte-identical to
@@ -269,316 +569,58 @@ impl MigratedSource {
         &mut self,
         workers: usize,
     ) -> Result<(Vec<u8>, ExecutionState, CollectStats), MigError> {
-        collect_pending_parallel(&mut self.proc, &self.pending, workers)
+        let (payload, exec, stats, _) =
+            collect_pending_parallel(&mut self.proc, &self.pending, workers, None)?;
+        Ok((payload, exec, stats))
     }
 
     /// Audit the frozen process's MSRLT snapshot without collecting —
-    /// the same pre-flight check the migrating drivers run, exposed for
-    /// benchmarks and `hpm-lint`'s runtime-registry pass.
+    /// the same pre-flight check [`migrate`] runs, exposed for benchmarks
+    /// and `hpm-lint`'s runtime-registry pass. Audit lookups run *before*
+    /// the per-migration stat reset, so they never pollute `msrlt.src`.
     pub fn preflight_audit(
         &mut self,
     ) -> Result<(Vec<RegistryFinding>, RegistryAuditStats), MigError> {
-        preflight_audit(&mut self.proc)
+        Ok(audit_registry(&mut self.proc.space, &mut self.proc.msrlt)?)
     }
 
     /// Frame a complete migration image from a fresh collection.
     pub fn to_image(&mut self) -> Result<Vec<u8>, MigError> {
         let (payload, exec, _) = self.collect()?;
-        let header = ImageHeader {
-            version: IMAGE_VERSION,
-            source_arch: self.proc.space.arch().name.to_string(),
-            source_pointer_size: self.proc.space.arch().pointer_size as u32,
-            program: self.proc.program().to_string(),
-            registered_bytes: self.proc.msrlt.registered_bytes(),
-        };
-        Ok(frame_image(&header, &exec.encode(), &payload))
+        Ok(frame_image(
+            &self.proc.image_header(),
+            &exec.encode(),
+            &payload,
+        ))
     }
 
     /// The same migration image as [`MigratedSource::to_image`], but as
-    /// the pipelined path would ship it: the image prefix (header + exec
+    /// the pipelined route would ship it: the image prefix (header + exec
     /// state) as chunk 0, then the payload in `chunk_bytes`-sized chunks.
     /// Concatenating the chunks reproduces `to_image` byte-for-byte.
     pub fn to_chunks(
         &mut self,
         chunk_bytes: usize,
     ) -> Result<(Vec<Vec<u8>>, CollectStats), MigError> {
-        let header = ImageHeader {
-            version: IMAGE_VERSION,
-            source_arch: self.proc.space.arch().name.to_string(),
-            source_pointer_size: self.proc.space.arch().pointer_size as u32,
-            program: self.proc.program().to_string(),
-            registered_bytes: self.proc.msrlt.registered_bytes(),
-        };
-        let mut chunks: Vec<Vec<u8>> = Vec::new();
         let exec = pending_exec_state(&self.proc, &self.pending);
-        chunks.push(frame_image_prefix(&header, &exec.encode()));
+        let mut chunks = vec![frame_image_prefix(
+            &self.proc.image_header(),
+            &exec.encode(),
+        )];
         let (exec2, stats) = collect_pending_streamed(
             &mut self.proc,
             &self.pending,
             chunk_bytes,
-            &Tracer::disabled(),
             Box::new(|c| {
                 chunks.push(c);
                 Ok(())
             }),
+            &Tracer::disabled(),
+            None,
         )?;
         debug_assert_eq!(exec, exec2);
         Ok((chunks, stats))
     }
-}
-
-/// Run the registry audit over a process's MSRLT snapshot, surfacing
-/// the findings instead of failing. Audit lookups run *before* the
-/// per-migration stat reset, so they never pollute `msrlt.src` counters.
-pub fn preflight_audit(
-    proc: &mut Process,
-) -> Result<(Vec<RegistryFinding>, RegistryAuditStats), MigError> {
-    Ok(audit_registry(&mut proc.space, &mut proc.msrlt)?)
-}
-
-/// Pre-flight gate used by the migrating drivers: audit the registry and
-/// refuse to collect (with [`MigError::Preflight`]) if it is incoherent.
-fn require_clean_registry(proc: &mut Process) -> Result<RegistryAuditStats, MigError> {
-    let (findings, stats) = preflight_audit(proc)?;
-    if findings.is_empty() {
-        Ok(stats)
-    } else {
-        let msg = findings
-            .iter()
-            .map(|f| f.to_string())
-            .collect::<Vec<_>>()
-            .join("\n");
-        Err(MigError::Preflight(msg))
-    }
-}
-
-/// Collect a migration image from a process that has unwound for
-/// migration. Returns (image bytes, collect wall time, stats, exec,
-/// pre-flight audit stats).
-pub fn collect_image(
-    ctx: MigCtx<'_>,
-) -> Result<
-    (
-        Vec<u8>,
-        Duration,
-        CollectStats,
-        ExecutionState,
-        RegistryAuditStats,
-    ),
-    MigError,
-> {
-    collect_image_traced(ctx, &Tracer::disabled())
-}
-
-/// [`collect_image`] with the collection DFS traced (`msrlt.search`
-/// spans, `collect.block` instants) on `tracer`.
-pub fn collect_image_traced(
-    ctx: MigCtx<'_>,
-    tracer: &Tracer,
-) -> Result<
-    (
-        Vec<u8>,
-        Duration,
-        CollectStats,
-        ExecutionState,
-        RegistryAuditStats,
-    ),
-    MigError,
-> {
-    let (proc, pending) = ctx.into_parts()?;
-    let audit = require_clean_registry(proc)?;
-    proc.msrlt.reset_stats();
-    let t0 = Instant::now();
-    let (payload, exec, stats) = collect_pending_traced(proc, &pending, tracer)?;
-    let collect_time = t0.elapsed();
-    let header = ImageHeader {
-        version: IMAGE_VERSION,
-        source_arch: proc.space.arch().name.to_string(),
-        source_pointer_size: proc.space.arch().pointer_size as u32,
-        program: proc.program().to_string(),
-        registered_bytes: proc.msrlt.registered_bytes(),
-    };
-    let image = frame_image(&header, &exec.encode(), &payload);
-    Ok((image, collect_time, stats, exec, audit))
-}
-
-/// What [`resume_from_image`] yields: results, the completed process,
-/// restoration stats, and restoration wall time.
-pub type ResumeOutcome = (Vec<(String, String)>, Process, RestoreStats, Duration);
-
-/// Resume a program from a migration image on a fresh process.
-///
-/// Returns the completed program's results plus restoration measurements.
-pub fn resume_from_image<P: MigratableProgram>(
-    program: &mut P,
-    arch: Architecture,
-    image: &[u8],
-) -> Result<ResumeOutcome, MigError> {
-    resume_from_image_traced(program, arch, image, &Tracer::disabled())
-}
-
-/// [`resume_from_image`] with restoration traced: each `restore_frame`
-/// emits a `restore` span carrying nested block/alloc events.
-pub fn resume_from_image_traced<P: MigratableProgram>(
-    program: &mut P,
-    arch: Architecture,
-    image: &[u8],
-    tracer: &Tracer,
-) -> Result<ResumeOutcome, MigError> {
-    let (header, exec_bytes, payload) = unframe_image(image)?;
-    if header.program != program.name() {
-        return Err(MigError::Protocol(format!(
-            "image is for program '{}', not '{}'",
-            header.program,
-            program.name()
-        )));
-    }
-    let exec = ExecutionState::decode(&exec_bytes)?;
-    let mut proc = Process::new(program.name(), arch);
-    proc.space.reserve_heap_bytes(header.registered_bytes);
-    program.setup(&mut proc)?;
-    proc.msrlt.reset_stats();
-    let mut ctx = MigCtx::new_resume(&mut proc, exec, payload);
-    ctx.set_tracer(tracer.clone());
-    match program.run(&mut ctx)? {
-        Flow::Done => {}
-        Flow::Migrate => return Err(MigError::Protocol("resumed program migrated again".into())),
-    }
-    let (rstats, rtime) = ctx.restore_totals().ok_or_else(|| {
-        MigError::Protocol("program finished without restoring all frames".into())
-    })?;
-    let results = program.results(&mut proc)?;
-    Ok((results, proc, rstats, rtime))
-}
-
-/// Full migration experiment: run on `src_arch`, migrate at `trigger`
-/// over `link`, resume on `dst_arch`, return results + report.
-///
-/// `make` constructs a fresh program value for each side (the two sides
-/// are separate processes running the same executable).
-pub fn run_migrating<P: MigratableProgram>(
-    make: impl Fn() -> P,
-    src_arch: Architecture,
-    dst_arch: Architecture,
-    link: NetworkModel,
-    trigger: Trigger,
-) -> Result<MigrationRun, MigError> {
-    run_migrating_traced(make, src_arch, dst_arch, link, trigger, &Tracer::disabled())
-}
-
-/// [`run_migrating`] with a [`Tracer`] attached to every phase.
-///
-/// With an enabled tracer, the run emits nested phase spans — `collect`
-/// (containing `msrlt.search` spans and `collect.block` instants), `tx`
-/// (containing the channel's `net.send`/`net.recv` spans), and `restore`
-/// per frame (containing `restore.block`/`restore.alloc` instants) — and
-/// the report carries the drained [`TraceLog`] with every counter group
-/// attached, ready for [`hpm_obs::chrome_trace_json`].
-pub fn run_migrating_traced<P: MigratableProgram>(
-    make: impl Fn() -> P,
-    src_arch: Architecture,
-    dst_arch: Architecture,
-    link: NetworkModel,
-    trigger: Trigger,
-    tracer: &Tracer,
-) -> Result<MigrationRun, MigError> {
-    let recorder = FlightRecorder::new();
-    run_migrating_recorded(make, src_arch, dst_arch, link, trigger, tracer, &recorder)
-        .inspect_err(|_| persist_flight_dump(&recorder.dump()))
-}
-
-/// [`run_migrating_traced`] with a caller-supplied [`FlightRecorder`], so
-/// the caller can inspect (or dump) the recorded events even when the run
-/// fails — the post-mortem entry point the fault soak uses.
-pub fn run_migrating_recorded<P: MigratableProgram>(
-    make: impl Fn() -> P,
-    src_arch: Architecture,
-    dst_arch: Architecture,
-    link: NetworkModel,
-    trigger: Trigger,
-    tracer: &Tracer,
-    recorder: &FlightRecorder,
-) -> Result<MigrationRun, MigError> {
-    let driver_track = recorder.track("driver");
-    // --- source side ---
-    let mut src_prog = make();
-    let mut src = Process::new(src_prog.name(), src_arch);
-    src.set_trigger(trigger);
-    src_prog.setup(&mut src)?;
-    let mut ctx = MigCtx::new_run(&mut src);
-    let flow = src_prog.run(&mut ctx)?;
-    if flow == Flow::Done {
-        return Err(MigError::Protocol(
-            "trigger never fired; program completed on the source".into(),
-        ));
-    }
-    tracer.begin("collect");
-    let (image, collect_time, collect_stats, exec, registry_audit) =
-        collect_image_traced(ctx, tracer)?;
-    tracer.end_args("collect", &[("image_bytes", image.len() as f64)]);
-    driver_track.event(
-        "phase.collect",
-        &[
-            ("image_bytes", image.len() as u64),
-            ("blocks", collect_stats.blocks_saved),
-        ],
-    );
-    let src_msrlt = src.msrlt.stats();
-    driver_track.event("msrlt.evictions", &[("count", src_msrlt.cache_evictions)]);
-    let src_polls = src.poll_count();
-    let chain_depth = exec.depth();
-    let memory_bytes = collect_stats.bytes_out;
-
-    // --- the wire: ship the image through a modeled channel so the Tx
-    // column comes from the same accounting the cluster path uses ---
-    tracer.begin("tx");
-    let (src_end, dst_end) = channel_pair(link);
-    let src_end = src_end.with_tracer(tracer.clone());
-    let dst_end = dst_end.with_tracer(tracer.clone());
-    src_end.send(image)?;
-    let image = dst_end.recv()?;
-    let transfer = src_end.stats().snapshot();
-    let tx_time = transfer.modeled_tx_time();
-    tracer.end_args("tx", &[("modeled_ns", transfer.modeled_tx_nanos as f64)]);
-    driver_track.event("phase.tx", &[("bytes", transfer.bytes_sent)]);
-
-    // --- destination side ---
-    let mut dst_prog = make();
-    let (results, dst, restore_stats, restore_time) =
-        resume_from_image_traced(&mut dst_prog, dst_arch, &image, tracer)?;
-    let dst_msrlt = dst.msrlt.stats();
-    driver_track.event(
-        "phase.restore",
-        &[
-            ("bytes_in", restore_stats.bytes_in),
-            ("blocks", restore_stats.blocks_restored),
-        ],
-    );
-
-    let report = MigrationReport {
-        image_bytes: image.len() as u64,
-        memory_bytes,
-        collect_time,
-        tx_time,
-        restore_time,
-        collect_stats,
-        src_msrlt,
-        restore_stats,
-        dst_msrlt,
-        src_polls,
-        chain_depth,
-        transfer,
-        trace: None,
-        pipeline: None,
-        recovery: None,
-        registry_audit: Some(registry_audit),
-        shards: None,
-        restore_shards: None,
-        plan: None,
-        resume: None,
-        flight: None,
-    };
-    Ok(report_migration(tracer, report, results))
 }
 
 /// Registered-bytes floor for sharded collection *and* restoration.
@@ -596,7 +638,7 @@ pub const PARALLEL_BYTES_CUTOFF: u64 = 8 * 1024 * 1024;
 /// header and compressor latency.
 pub const COMPRESS_BYTES_CUTOFF: u64 = 4 * 1024;
 
-/// Payload bytes per wire frame on the monolithic chunked path.
+/// Payload bytes per wire frame on the [`Route::Planned`] path.
 pub const WIRE_CHUNK_BYTES: usize = 32 * 1024;
 
 /// What the adaptive planner decided for one migration.
@@ -644,200 +686,107 @@ pub fn plan_migration(registered_bytes: u64, requested_workers: usize) -> Migrat
     }
 }
 
-/// [`resume_from_image`] with monolithic restoration sharded across
-/// `workers` threads (see [`MigCtx::set_restore_workers`]); the restored
-/// process is byte-identical to the sequential path's. Also returns the
-/// per-shard accounting when any frame actually sharded.
-pub fn resume_from_image_parallel<P: MigratableProgram>(
-    program: &mut P,
-    arch: Architecture,
-    image: &[u8],
-    workers: usize,
-) -> Result<(ResumeOutcome, Option<ShardReport>), MigError> {
-    let (header, exec_bytes, payload) = unframe_image(image)?;
-    if header.program != program.name() {
-        return Err(MigError::Protocol(format!(
-            "image is for program '{}', not '{}'",
-            header.program,
-            program.name()
-        )));
+/// [`Route::Image`] and [`Route::Planned`]: collect the whole payload
+/// (sharded when the plan says so), frame the image, ship it — as one
+/// message without a plan, as codec-framed chunks with one — and resume.
+fn monolithic<P: MigratableProgram>(
+    make: &impl Fn() -> P,
+    frozen: Frozen,
+    dst_arch: Architecture,
+    link: NetworkModel,
+    planning: Option<Planning>,
+    obs: &Obs,
+) -> Result<MigrationRun, MigError> {
+    let Frozen {
+        src: MigratedSource { mut proc, pending },
+        audit,
+    } = frozen;
+    let driver = obs.recorder.track("driver");
+    let plan = planning.map(|planning| {
+        let bytes = proc.msrlt.registered_bytes();
+        match planning {
+            Planning::Adaptive { workers } => plan_migration(bytes, workers),
+            Planning::Fixed(plan) => MigrationPlan {
+                registered_bytes: bytes,
+                ..plan
+            },
+        }
+    });
+    let workers = plan.map_or(1, |p| p.workers);
+    if let Some(plan) = &plan {
+        driver.event(
+            "plan",
+            &[
+                ("registered_bytes", plan.registered_bytes),
+                ("workers", plan.workers as u64),
+                ("compressed", (plan.codec == WireCodec::V3) as u64),
+            ],
+        );
     }
-    let exec = ExecutionState::decode(&exec_bytes)?;
-    let mut proc = Process::new(program.name(), arch);
-    proc.space.reserve_heap_bytes(header.registered_bytes);
-    program.setup(&mut proc)?;
-    proc.msrlt.reset_stats();
-    let mut ctx = MigCtx::new_resume(&mut proc, exec, payload);
-    ctx.set_restore_workers(workers);
-    match program.run(&mut ctx)? {
-        Flow::Done => {}
-        Flow::Migrate => return Err(MigError::Protocol("resumed program migrated again".into())),
-    }
-    let (rstats, rtime) = ctx.restore_totals().ok_or_else(|| {
-        MigError::Protocol("program finished without restoring all frames".into())
-    })?;
-    let shards = ctx.restore_shards();
-    let results = program.results(&mut proc)?;
-    Ok(((results, proc, rstats, rtime), shards))
-}
 
-/// [`run_migrating`] with sharded parallel collection *and* restoration,
-/// gated by the adaptive planner: below [`PARALLEL_BYTES_CUTOFF`] both
-/// phases fall back to the sequential path (where sharding's spawn and
-/// splice overhead loses), and the image ships v3-compressed once past
-/// [`COMPRESS_BYTES_CUTOFF`]. The shipped image and the restored process
-/// are byte-identical to the sequential driver's in every configuration.
-pub fn run_migrating_parallel<P: MigratableProgram>(
-    make: impl Fn() -> P,
-    src_arch: Architecture,
-    dst_arch: Architecture,
-    link: NetworkModel,
-    trigger: Trigger,
-    workers: usize,
-) -> Result<MigrationRun, MigError> {
-    let recorder = FlightRecorder::new();
-    run_migrating_parallel_recorded(make, src_arch, dst_arch, link, trigger, workers, &recorder)
-        .inspect_err(|_| persist_flight_dump(&recorder.dump()))
-}
-
-/// [`run_migrating_parallel`] with a caller-supplied [`FlightRecorder`].
-pub fn run_migrating_parallel_recorded<P: MigratableProgram>(
-    make: impl Fn() -> P,
-    src_arch: Architecture,
-    dst_arch: Architecture,
-    link: NetworkModel,
-    trigger: Trigger,
-    workers: usize,
-    recorder: &FlightRecorder,
-) -> Result<MigrationRun, MigError> {
-    run_migrating_with_plan(
-        make,
-        src_arch,
-        dst_arch,
-        link,
-        trigger,
-        workers,
-        plan_migration,
-        recorder,
-    )
-}
-
-/// [`run_migrating_parallel`] with a caller-fixed [`MigrationPlan`]
-/// instead of the adaptive planner: benchmarks and tests use this to
-/// measure or exercise one specific arm regardless of workload size.
-/// The plan's `registered_bytes` is replaced with the actual count.
-pub fn run_migrating_planned<P: MigratableProgram>(
-    make: impl Fn() -> P,
-    src_arch: Architecture,
-    dst_arch: Architecture,
-    link: NetworkModel,
-    trigger: Trigger,
-    plan: MigrationPlan,
-) -> Result<MigrationRun, MigError> {
-    let recorder = FlightRecorder::new();
-    run_migrating_planned_recorded(make, src_arch, dst_arch, link, trigger, plan, &recorder)
-        .inspect_err(|_| persist_flight_dump(&recorder.dump()))
-}
-
-/// [`run_migrating_planned`] with a caller-supplied [`FlightRecorder`].
-pub fn run_migrating_planned_recorded<P: MigratableProgram>(
-    make: impl Fn() -> P,
-    src_arch: Architecture,
-    dst_arch: Architecture,
-    link: NetworkModel,
-    trigger: Trigger,
-    plan: MigrationPlan,
-    recorder: &FlightRecorder,
-) -> Result<MigrationRun, MigError> {
-    run_migrating_with_plan(
-        make,
-        src_arch,
-        dst_arch,
-        link,
-        trigger,
-        plan.workers,
-        move |bytes, _| MigrationPlan {
-            registered_bytes: bytes,
-            ..plan
-        },
-        recorder,
-    )
-}
-
-/// Shared body of the adaptive/planned monolithic drivers.
-#[allow(clippy::too_many_arguments)]
-fn run_migrating_with_plan<P: MigratableProgram>(
-    make: impl Fn() -> P,
-    src_arch: Architecture,
-    dst_arch: Architecture,
-    link: NetworkModel,
-    trigger: Trigger,
-    workers: usize,
-    planner: impl FnOnce(u64, usize) -> MigrationPlan,
-    recorder: &FlightRecorder,
-) -> Result<MigrationRun, MigError> {
-    let driver_track = recorder.track("driver");
-    let collect_track = recorder.track("collect");
-    // --- source side ---
-    let mut src_prog = make();
-    let mut src = Process::new(src_prog.name(), src_arch);
-    src.set_trigger(trigger);
-    src_prog.setup(&mut src)?;
-    let (proc, pending) = run_to_parts(&mut src_prog, &mut src)?;
-    let registry_audit = require_clean_registry(proc)?;
-    proc.msrlt.reset_stats();
-    let plan = planner(proc.msrlt.registered_bytes(), workers);
-    driver_track.event(
-        "plan",
-        &[
-            ("registered_bytes", plan.registered_bytes),
-            ("workers", plan.workers as u64),
-            ("compressed", (plan.codec == WireCodec::V3) as u64),
-        ],
-    );
+    // --- collect ---
+    obs.tracer.begin("collect");
     let t0 = Instant::now();
-    let (payload, exec, collect_stats, shards) = if plan.workers > 1 {
-        let (p, e, c, s) =
-            collect_pending_parallel_flight(proc, &pending, plan.workers, Some(&collect_track))?;
+    let (payload, exec, collect_stats, shards) = if workers > 1 {
+        let (p, e, c, s) = collect_pending_parallel(
+            &mut proc,
+            &pending,
+            workers,
+            Some(&obs.recorder.track("collect")),
+        )?;
         (p, e, c, Some(s))
     } else {
         // Below the planner's cutoff the sharded path loses to the
         // plain DFS: collect sequentially.
-        let (p, e, c) = collect_pending(proc, &pending)?;
+        let (p, e, c) = collect_pending(&mut proc, &pending, &obs.tracer, None)?;
         (p, e, c, None)
     };
     let collect_time = t0.elapsed();
-    let header = image_header(proc);
-    let image = frame_image(&header, &exec.encode(), &payload);
-    driver_track.event(
+    let image = frame_image(&proc.image_header(), &exec.encode(), &payload);
+    drop(payload); // the image holds a copy; don't carry both through Tx and restore
+    obs.tracer
+        .end_args("collect", &[("image_bytes", image.len() as f64)]);
+    driver.event(
         "phase.collect",
         &[
             ("image_bytes", image.len() as u64),
-            ("workers", plan.workers as u64),
+            ("blocks", collect_stats.blocks_saved),
+            ("workers", workers as u64),
+            ("msrlt_evictions", proc.msrlt.stats().cache_evictions),
         ],
     );
-    let src_msrlt = src.msrlt.stats();
-    let src_polls = src.poll_count();
-    let chain_depth = exec.depth();
-    let memory_bytes = collect_stats.bytes_out;
 
-    // --- the wire: the image ships in fixed-size chunks so the plan's
-    // codec applies per frame; concatenating the received chunks
-    // reproduces the image byte-for-byte. ---
+    // --- ship: through a modeled channel, so the Tx column comes from
+    // the same accounting every route uses ---
+    obs.tracer.begin("tx");
     let (src_end, dst_end) = channel_pair(link);
-    let mut sender = ChunkSender::new(&src_end).with_codec(plan.codec);
-    for part in image.chunks(WIRE_CHUNK_BYTES) {
-        sender.send(part)?;
-    }
-    sender.finish()?;
-    let mut rx = ChunkReceiver::new(dst_end);
-    let mut shipped = Vec::with_capacity(image.len());
-    while let Some(chunk) = rx.recv_chunk().map_err(MigError::from)? {
-        shipped.extend_from_slice(&chunk);
-    }
+    let src_end = src_end.with_tracer(obs.tracer.clone());
+    let dst_end = dst_end.with_tracer(obs.tracer.clone());
+    let image = match plan {
+        None => {
+            src_end.send(image)?;
+            dst_end.recv()?
+        }
+        // Fixed-size chunks so the plan's codec applies per frame;
+        // concatenating them reproduces the image byte-for-byte.
+        Some(plan) => {
+            let mut sender = ChunkSender::new(&src_end).with_codec(plan.codec);
+            for part in image.chunks(WIRE_CHUNK_BYTES) {
+                sender.send(part)?;
+            }
+            sender.finish()?;
+            let mut rx = ChunkReceiver::new(dst_end);
+            let mut shipped = Vec::with_capacity(image.len());
+            while let Some(chunk) = rx.recv_chunk()? {
+                shipped.extend_from_slice(&chunk);
+            }
+            shipped
+        }
+    };
     let transfer = src_end.stats().snapshot();
-    let tx_time = transfer.modeled_tx_time();
-    driver_track.event(
+    obs.tracer
+        .end_args("tx", &[("modeled_ns", transfer.modeled_tx_nanos as f64)]);
+    driver.event(
         "phase.tx",
         &[
             ("bytes", transfer.bytes_sent),
@@ -846,40 +795,39 @@ fn run_migrating_with_plan<P: MigratableProgram>(
         ],
     );
 
-    // --- destination side ---
-    let mut dst_prog = make();
-    let ((results, dst, restore_stats, restore_time), restore_shards) =
-        resume_from_image_parallel(&mut dst_prog, dst_arch, &shipped, plan.workers)?;
-    let dst_msrlt = dst.msrlt.stats();
-    driver_track.event("phase.restore", &[("bytes_in", restore_stats.bytes_in)]);
-
-    let report = MigrationReport {
-        image_bytes: shipped.len() as u64,
-        memory_bytes,
-        collect_time,
-        tx_time,
-        restore_time,
-        collect_stats,
-        src_msrlt,
-        restore_stats,
-        dst_msrlt,
-        src_polls,
-        chain_depth,
-        transfer,
-        trace: None,
-        pipeline: None,
-        recovery: None,
-        registry_audit: Some(registry_audit),
-        shards,
-        restore_shards,
-        plan: Some(plan),
-        resume: None,
-        flight: None,
+    // --- destination ---
+    let dst = Dst {
+        workers,
+        tracer: obs.tracer.clone(),
+        ..Dst::default()
     };
-    Ok(report_migration(&Tracer::disabled(), report, results))
+    let restored = resume(&mut make(), dst_arch, &image, dst)?;
+    driver.event(
+        "phase.restore",
+        &[
+            ("bytes_in", restored.stats.bytes_in),
+            ("blocks", restored.stats.blocks_restored),
+        ],
+    );
+    let mut report = build_report(
+        &proc,
+        pending.len(),
+        audit,
+        (collect_stats, collect_time),
+        image.len() as u64,
+        transfer,
+        &restored,
+    );
+    report.shards = shards;
+    report.plan = plan;
+    Ok(MigrationRun {
+        report,
+        results: restored.results,
+    })
 }
 
-/// Tunables for the pipelined migration path.
+/// Tunables for the streamed routes ([`Route::Pipelined`],
+/// [`Route::Resilient`]).
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineConfig {
     /// Payload bytes per chunk — the collector's flush watermark.
@@ -1000,14 +948,50 @@ impl StatGroup for PipelineStats {
     }
 }
 
-/// Adapter: a net-layer [`ChunkReceiver`] as the restorer's
-/// [`ChunkSource`], mapping transport failures into the stream layer.
-/// The gap between returning one chunk and being asked for the next is
-/// the restorer's per-chunk decode latency — observed into `decode_lat`.
+/// The transport one streamed attempt runs over.
+enum Transport {
+    /// A plain [`ChunkSender`] stream: no ARQ, no journal
+    /// ([`Route::Pipelined`]).
+    Plain,
+    /// An ARQ stream behind the fault injector, journaling every verified
+    /// chunk into `journal` ([`Route::Resilient`]). With a `ledger` the
+    /// receiver re-attaches from `journal` — replaying the journaled
+    /// prefix through the normal restore path of a *fresh* process, never
+    /// splicing into a half-built one — and opens with a resume
+    /// handshake; the sender validates the journal digest against the
+    /// ledger and fast-forwards past the verified chunks, or rejects and
+    /// ships nothing so both sides unwind to a clean restart.
+    Arq {
+        faults: FaultPlan,
+        arq: ArqConfig,
+        journal: Arc<Mutex<RestoreJournal>>,
+        ledger: Option<Vec<ChunkRecord>>,
+    },
+}
+
+/// The receiving end of either transport.
+enum WireRx {
+    Plain(ChunkReceiver),
+    Arq(ReliableChunkReceiver),
+}
+
+/// Adapter: the receiving end as the restorer's [`ChunkSource`], mapping
+/// transport failures into the stream layer. The gap between returning
+/// one chunk and being asked for the next is the restorer's per-chunk
+/// decode latency — observed into `decode_lat`.
 struct NetChunkSource {
-    rx: ChunkReceiver,
+    rx: WireRx,
     decode_lat: Arc<Histogram>,
     last_return: Option<Instant>,
+}
+
+impl WireRx {
+    fn recv_chunk(&mut self) -> Result<Option<Vec<u8>>, NetError> {
+        match self {
+            WireRx::Plain(rx) => rx.recv_chunk(),
+            WireRx::Arq(rx) => rx.recv_chunk(),
+        }
+    }
 }
 
 impl ChunkSource for NetChunkSource {
@@ -1024,281 +1008,632 @@ impl ChunkSource for NetChunkSource {
     }
 }
 
-/// What the destination thread hands back to the driver.
-struct DstOutcome {
-    results: Vec<(String, String)>,
-    restore_stats: RestoreStats,
-    restore_time: Duration,
-    restore_stall: Duration,
-    msrlt: MsrltStats,
-    done_at: Option<Instant>,
+/// The sending end of either transport, as the wire thread receives it;
+/// an ARQ sender resuming from a journal carries the image id and the
+/// send ledger for the handshake.
+enum WireTx {
+    Plain(Channel, FlightTrack),
+    Arq(
+        Box<ReliableChunkSender<FaultyEndpoint>>,
+        Option<(u64, Vec<ChunkRecord>)>,
+    ),
 }
 
-/// [`run_migrating`], pipelined: collection, transmission, and
-/// restoration overlap instead of running strictly in sequence.
-///
-/// Three stages run concurrently — the source thread flushes the DFS
-/// stream in [`PipelineConfig::chunk_bytes`]-sized chunks as it
-/// traverses, a wire thread paces each chunk by its modeled transmission
-/// time, and the destination thread restores frame *k* while chunk *k+1*
-/// is still in flight. The image prefix (header + execution state)
-/// travels as chunk 0, before any payload exists, so the destination
-/// re-enters the call chain while the source is still collecting.
-///
-/// The report carries the usual Collect/Tx/Restore triplet plus
-/// [`PipelineStats`], whose `overlap_ratio` compares the pipelined
-/// end-to-end wall time against the serial sum.
-pub fn run_migrating_pipelined<P: MigratableProgram + Send>(
-    make: impl Fn() -> P,
-    src_arch: Architecture,
-    dst_arch: Architecture,
-    link: NetworkModel,
-    trigger: Trigger,
-    config: PipelineConfig,
-) -> Result<MigrationRun, MigError> {
-    let recorder = FlightRecorder::new();
-    run_migrating_pipelined_recorded(make, src_arch, dst_arch, link, trigger, config, &recorder)
-        .inspect_err(|_| persist_flight_dump(&recorder.dump()))
+/// What the wire thread reports when it exits; the counters survive a
+/// failure. The ARQ-only fields stay at their defaults on a plain stream.
+#[derive(Default)]
+struct WireOut {
+    err: Option<NetError>,
+    frames: u32,
+    transfer: TransferSnapshot,
+    sender: ArqSenderStats,
+    faults: FaultStats,
+    /// Send ledger: one [`ChunkRecord`] per framed chunk, in sequence
+    /// order. A later resume handshake validates against it.
+    records: Vec<ChunkRecord>,
+    /// The sender refused the resume handshake (digest/range/id).
+    rejected: bool,
+    /// Wire bytes the resume handshake avoided re-sending.
+    bytes_saved_wire: u64,
 }
 
-/// [`run_migrating_pipelined`] with a caller-supplied [`FlightRecorder`]:
-/// the collector's flushes, both wire ends, and the restorer each log to
-/// their own single-writer track, and per-chunk encode/decode latency is
-/// observed into the report's [`PipelineStats`] histograms.
-pub fn run_migrating_pipelined_recorded<P: MigratableProgram + Send>(
-    make: impl Fn() -> P,
-    src_arch: Architecture,
+/// Forward every collected chunk to `send`, pacing each by its modeled
+/// transmission time; the first `skip` chunks are already verified on the
+/// destination and are dropped unsent.
+fn pump(
+    chunks: &Receiver<Vec<u8>>,
+    skip: u32,
+    link: NetworkModel,
+    config: PipelineConfig,
+    mut send: impl FnMut(&[u8]) -> Result<(), NetError>,
+) -> Result<(), NetError> {
+    for chunk in chunks.iter().skip(skip as usize) {
+        if config.pace {
+            let d = link.tx_time(chunk.len() as u64).mul_f64(config.pace_scale);
+            if !d.is_zero() {
+                std::thread::sleep(d);
+            }
+        }
+        send(&chunk)?;
+    }
+    Ok(())
+}
+
+/// The wire stage: optionally the resume handshake, then pace and push
+/// each chunk and terminate the stream — unless the source crashed, which
+/// never sends its terminator.
+fn run_wire(
+    tx: WireTx,
+    chunks: Receiver<Vec<u8>>,
+    link: NetworkModel,
+    config: PipelineConfig,
+    src_crashed: &AtomicBool,
+) -> WireOut {
+    let mut out = WireOut::default();
+    match tx {
+        WireTx::Plain(ch, flight) => {
+            let mut tx = ChunkSender::new(&ch)
+                .with_codec(config.codec)
+                .with_flight(flight);
+            let sent = pump(&chunks, 0, link, config, |c| tx.send(c));
+            out.frames = tx.chunks_sent();
+            match sent.and_then(|()| tx.finish()) {
+                Ok(n) => out.frames = n,
+                Err(e) => out.err = Some(e),
+            }
+            out.transfer = ch.stats().snapshot();
+        }
+        WireTx::Arq(tx, resume) => {
+            let mut tx = *tx;
+            let mut skip = 0;
+            if let Some((img_id, ledger)) = &resume {
+                match tx.accept_resume(*img_id, ledger) {
+                    Ok(ResumeDecision::Accepted {
+                        next,
+                        bytes_saved_wire,
+                        ..
+                    }) => {
+                        skip = next;
+                        out.bytes_saved_wire = bytes_saved_wire;
+                    }
+                    Ok(ResumeDecision::Rejected(_)) => out.rejected = true,
+                    Err(e) => out.err = Some(e),
+                }
+            }
+            if out.err.is_none() && !out.rejected {
+                out.err = pump(&chunks, skip, link, config, |c| tx.send(c)).err();
+            }
+            out.frames = tx.chunks_sent();
+            // A rejected handshake ships nothing at all.
+            if out.err.is_none() && !out.rejected && !src_crashed.load(Ordering::SeqCst) {
+                match tx.finish() {
+                    Ok(n) => out.frames = n,
+                    Err(e) => out.err = Some(e),
+                }
+            }
+            out.sender = tx.stats();
+            out.records = tx.records().to_vec();
+            let endpoint = tx.into_link();
+            out.faults = endpoint.stats();
+            out.transfer = endpoint.channel().stats().snapshot();
+            // Dropping the endpoint here severs the link and unblocks a
+            // stalled destination with `Disconnected`.
+        }
+    }
+    out
+}
+
+/// Flight tracks for one streamed attempt.
+struct Tracks {
+    collect: FlightTrack,
+    tx: FlightTrack,
+    rx: FlightTrack,
+    fault: Option<FlightTrack>,
+    restore: FlightTrack,
+}
+
+impl Tracks {
+    /// Register the named tracks; an empty fault name means the transport
+    /// has no fault injector.
+    fn new(recorder: &FlightRecorder, names: [&'static str; 5]) -> Self {
+        let [collect, tx, rx, fault, restore] = names;
+        Tracks {
+            collect: recorder.track(collect),
+            tx: recorder.track(tx),
+            rx: recorder.track(rx),
+            fault: (!fault.is_empty()).then(|| recorder.track(fault)),
+            restore: recorder.track(restore),
+        }
+    }
+}
+
+/// What one streamed attempt produced.
+struct AttemptOutcome {
+    collect_time: Duration,
+    wire: WireOut,
+    receiver: ArqReceiverSnapshot,
+    /// The injected source crash fired mid-collect.
+    src_crashed: bool,
+    /// The restored destination and the collection counters, or the
+    /// failure that killed the attempt.
+    result: Result<(Restored, CollectStats), MigError>,
+}
+
+/// The frozen source and settings every streamed attempt shares.
+struct StreamCtx<'a> {
+    proc: &'a mut Process,
+    pending: &'a [PendingFrame],
+    prefix: &'a [u8],
+    dst_arch: &'a Architecture,
+    link: NetworkModel,
+    config: PipelineConfig,
+    encode_lat: Arc<Histogram>,
+    decode_lat: Arc<Histogram>,
+    tracer: &'a Tracer,
+}
+
+const SINK_GONE: &str = "chunk sink disconnected";
+
+/// Rung 2's tracks: single-writer, so never rung 1's names.
+const RESUME_TRACKS: [&str; 5] = [
+    "collect.resume",
+    "arq.tx.resume",
+    "arq.rx.resume",
+    "fault.resume",
+    "restore.resume",
+];
+
+/// One streamed transfer attempt: the collection DFS flushing chunks on
+/// one thread — prefix first, with an injected source crash counted in
+/// flushed chunks (the prefix is flush 0) — the wire stage on another, and
+/// the destination resuming over the still-arriving chunks on the calling
+/// thread. Every worker joins on every path.
+fn stream_attempt<P: MigratableProgram>(
+    cx: &mut StreamCtx<'_>,
+    mut dst_prog: P,
+    transport: Transport,
+    tracks: Tracks,
+) -> Result<AttemptOutcome, MigError> {
+    let (src_end, dst_end) = channel_pair(cx.link);
+    let (mut rx, replay, rx_counters, wire_tx, src_crash_at) = match transport {
+        Transport::Plain => (
+            WireRx::Plain(ChunkReceiver::new(dst_end).with_flight(tracks.rx)),
+            Vec::new(),
+            None,
+            WireTx::Plain(src_end, tracks.tx),
+            None,
+        ),
+        Transport::Arq {
+            faults,
+            arq,
+            journal,
+            ledger,
+        } => {
+            let (rx, replay) = if ledger.is_some() {
+                let guard = journal.lock().unwrap_or_else(|p| p.into_inner());
+                let rx = ReliableChunkReceiver::new_resuming(dst_end, arq, &guard)?;
+                (rx, guard.payloads().to_vec())
+            } else {
+                (ReliableChunkReceiver::new(dst_end, arq), Vec::new())
+            };
+            let rx = rx
+                .with_flight(tracks.rx)
+                .with_journal(journal)
+                .with_crash_at(faults.dst_crash_at);
+            let counters = rx.counters();
+            let mut endpoint = FaultyEndpoint::new(src_end, faults);
+            if let Some(track) = tracks.fault {
+                endpoint = endpoint.with_flight(track);
+            }
+            let tx = ReliableChunkSender::new(endpoint, arq)
+                .with_codec(cx.config.codec)
+                .with_flight(tracks.tx);
+            let wire_tx = WireTx::Arq(Box::new(tx), ledger.map(|l| (image_id(cx.prefix), l)));
+            (
+                WireRx::Arq(rx),
+                replay,
+                Some(counters),
+                wire_tx,
+                faults.src_crash_at,
+            )
+        }
+    };
+    let (chunk_tx, chunk_rx) = std::sync::mpsc::channel::<Vec<u8>>();
+    let src_crashed = &AtomicBool::new(false);
+    let (link, config, dst_arch) = (cx.link, cx.config, cx.dst_arch.clone());
+    let (proc, pending, prefix, tracer) = (&mut *cx.proc, cx.pending, cx.prefix, cx.tracer);
+    let encode_lat = Arc::clone(&cx.encode_lat);
+
+    std::thread::scope(|s| -> Result<AttemptOutcome, MigError> {
+        let wire = s.spawn(move || run_wire(wire_tx, chunk_rx, link, config, src_crashed));
+
+        // Source stage: prefix, then the collection DFS flushing through
+        // the sink. Dropping `chunk_tx` on return ends the stream, and the
+        // wire thread sends LAST.
+        let collector = s.spawn(move || {
+            let crash = || {
+                src_crashed.store(true, Ordering::SeqCst);
+                CoreError::Source("source crashed mid-collect".into())
+            };
+            let prefix_sent = if src_crash_at == Some(0) {
+                Err(crash())
+            } else {
+                chunk_tx
+                    .send(prefix.to_vec())
+                    .map_err(|_| CoreError::Source(SINK_GONE.into()))
+            };
+            if let Err(e) = prefix_sent {
+                return (Err(e.into()), Duration::ZERO);
+            }
+            let mut flushed = 0u32;
+            let t_collect = Instant::now();
+            // Per-chunk encode latency: the gap between successive chunks
+            // leaving the collector is the time the DFS spent filling
+            // (encoding) the chunk that just flushed.
+            let mut last_flush = Instant::now();
+            let r = collect_pending_streamed(
+                proc,
+                pending,
+                config.chunk_bytes,
+                Box::new(|c| {
+                    flushed += 1;
+                    if src_crash_at == Some(flushed) {
+                        return Err(crash());
+                    }
+                    encode_lat.observe(last_flush.elapsed().as_nanos() as u64);
+                    last_flush = Instant::now();
+                    chunk_tx
+                        .send(c)
+                        .map_err(|_| CoreError::Source(SINK_GONE.into()))
+                }),
+                tracer,
+                Some(tracks.collect),
+            );
+            (r, t_collect.elapsed())
+        });
+
+        // Destination stage (this thread): the first chunk — or the
+        // journal's, when resuming — carries the prefix; restoration then
+        // pulls the still-arriving chunks, behind the journal replay.
+        let mut replay = replay.into_iter();
+        let dst_res = match replay.next() {
+            Some(first) => Ok(first),
+            None => rx.recv_chunk().map_err(MigError::from).and_then(|first| {
+                first.ok_or_else(|| MigError::Protocol("empty migration stream".into()))
+            }),
+        }
+        .and_then(|first| {
+            let replay: Vec<Vec<u8>> = replay.collect();
+            let live = Box::new(NetChunkSource {
+                rx,
+                decode_lat: Arc::clone(&cx.decode_lat),
+                last_return: None,
+            });
+            let stream: Box<dyn ChunkSource + Send> = if replay.is_empty() {
+                live
+            } else {
+                Box::new(ReplaySource::new(replay, live))
+            };
+            let dst = Dst {
+                stream: Some(stream),
+                tracer: tracer.clone(),
+                flight: Some(tracks.restore),
+                ..Dst::default()
+            };
+            resume(&mut dst_prog, dst_arch, &first, dst)
+        });
+
+        // Join both workers on every path, so no exit leaks a blocked
+        // thread or discards its error.
+        let (collect_res, collect_time) = collector
+            .join()
+            .map_err(|_| MigError::Protocol("source thread panicked".into()))?;
+        let wire = wire
+            .join()
+            .map_err(|_| MigError::Protocol("wire thread panicked".into()))?;
+
+        // Error priority: a collection failure that is not a mere sink
+        // disconnect is the root cause; exhausted retries come next even
+        // though the destination also sees the link die; then the
+        // receiving side's error, which explains why the sink vanished;
+        // only then a wire failure or the bare disconnect.
+        let result = match (collect_res, dst_res, &wire.err) {
+            (Err(e), _, _) if !matches!(&e, MigError::Core(m) if m.contains(SINK_GONE)) => Err(e),
+            (_, _, Some(e @ NetError::RetriesExhausted { .. })) => Err(e.clone().into()),
+            (_, Err(e), _) => Err(e),
+            (_, Ok(_), Some(e)) => Err(e.clone().into()),
+            (Err(e), Ok(_), None) => Err(e),
+            (Ok((_, collected)), Ok(restored), None) => Ok((restored, collected)),
+        };
+        Ok(AttemptOutcome {
+            collect_time,
+            wire,
+            receiver: rx_counters.map(|c| c.snapshot()).unwrap_or_default(),
+            src_crashed: src_crashed.load(Ordering::SeqCst),
+            result,
+        })
+    })
+}
+
+/// [`Route::Pipelined`] and [`Route::Resilient`]: ship the image prefix
+/// (header + execution state) as chunk 0, before any payload exists, so
+/// the destination re-enters the call chain while the source is still
+/// collecting. Without `recovery` one plain attempt either succeeds or
+/// fails the run; with it, a failed attempt walks the degradation ladder.
+fn streamed<P: MigratableProgram>(
+    make: &impl Fn() -> P,
+    frozen: Frozen,
     dst_arch: Architecture,
     link: NetworkModel,
-    trigger: Trigger,
     config: PipelineConfig,
-    recorder: &FlightRecorder,
+    recovery: Option<(FaultPlan, RecoveryPolicy)>,
+    obs: &Obs,
 ) -> Result<MigrationRun, MigError> {
-    let driver_track = recorder.track("driver");
-    let collect_track = recorder.track("collect");
-    let tx_track = recorder.track("net.tx");
-    let rx_track = recorder.track("net.rx");
-    let restore_track = recorder.track("restore");
-    let encode_lat = Arc::new(Histogram::new());
-    let decode_lat = Arc::new(Histogram::new());
-
-    // --- source side: run to the migration point ---
-    let mut src_prog = make();
-    let mut src = Process::new(src_prog.name(), src_arch);
-    src.set_trigger(trigger);
-    src_prog.setup(&mut src)?;
-    let (proc, pending) = run_to_parts(&mut src_prog, &mut src)?;
-    let registry_audit = require_clean_registry(proc)?;
-    proc.msrlt.reset_stats();
-
-    let header = image_header(proc);
-    let exec = pending_exec_state(proc, &pending);
-    let chain_depth = exec.depth();
-    let prefix = frame_image_prefix(&header, &exec.encode());
-    let prefix_len = prefix.len() as u64;
-    driver_track.event(
+    let Frozen {
+        src: MigratedSource { mut proc, pending },
+        audit,
+    } = frozen;
+    let driver = obs.recorder.track("driver");
+    let exec = pending_exec_state(&proc, &pending);
+    let prefix = frame_image_prefix(&proc.image_header(), &exec.encode());
+    driver.event(
         "phase.collect",
         &[
-            ("prefix_bytes", prefix_len),
+            ("prefix_bytes", prefix.len() as u64),
             ("chain_depth", exec.depth() as u64),
         ],
     );
-
-    let (src_end, dst_end) = channel_pair(link);
-    let mut dst_prog = make();
-    let (chunk_tx, chunk_rx) = std::sync::mpsc::channel::<Vec<u8>>();
+    let mut cx = StreamCtx {
+        proc: &mut proc,
+        pending: &pending,
+        prefix: &prefix,
+        dst_arch: &dst_arch,
+        link,
+        config,
+        encode_lat: Arc::new(Histogram::new()),
+        decode_lat: Arc::new(Histogram::new()),
+        tracer: &obs.tracer,
+    };
 
     let t_start = Instant::now();
-    let (collect_time, collect_stats, wire_frames, transfer, dst_out) =
-        std::thread::scope(|s| -> Result<_, MigError> {
-            // Wire stage: pace each chunk by its modeled transmission
-            // time, then frame and forward it.
-            let wire = s.spawn(move || -> Result<(u32, TransferSnapshot), NetError> {
-                let mut sender = ChunkSender::new(&src_end)
-                    .with_codec(config.codec)
-                    .with_flight(tx_track);
-                while let Ok(chunk) = chunk_rx.recv() {
-                    if config.pace {
-                        let d = link.tx_time(chunk.len() as u64).mul_f64(config.pace_scale);
-                        if !d.is_zero() {
-                            std::thread::sleep(d);
-                        }
-                    }
-                    sender.send(&chunk)?;
-                }
-                let frames = sender.finish()?;
-                Ok((frames, src_end.stats().snapshot()))
-            });
+    let (attempt, ladder) = match recovery {
+        None => {
+            let a = stream_attempt(
+                &mut cx,
+                make(),
+                Transport::Plain,
+                Tracks::new(
+                    &obs.recorder,
+                    ["collect", "net.tx", "net.rx", "", "restore"],
+                ),
+            )?;
+            (a, None)
+        }
+        Some((faults, policy)) => {
+            let (a, recovery, resume) =
+                climb_ladder(&mut cx, make, faults, policy, &obs.recorder, &driver)?;
+            (a, Some((policy, recovery, resume)))
+        }
+    };
+    let (encode_lat, decode_lat) = (cx.encode_lat.snapshot(), cx.decode_lat.snapshot());
 
-            // Destination stage: parse the prefix, then resume over the
-            // still-arriving chunk stream.
-            let dst_decode_lat = Arc::clone(&decode_lat);
-            let dst = s.spawn(move || -> Result<DstOutcome, MigError> {
-                let mut rx = ChunkReceiver::new(dst_end).with_flight(rx_track);
-                let first = rx
-                    .recv_chunk()
-                    .map_err(MigError::from)?
-                    .ok_or_else(|| MigError::Protocol("empty migration stream".into()))?;
-                let (header, exec_bytes, leftover) = unframe_image(&first)?;
-                if header.program != dst_prog.name() {
-                    return Err(MigError::Protocol(format!(
-                        "image is for program '{}', not '{}'",
-                        header.program,
-                        dst_prog.name()
-                    )));
-                }
-                let exec = ExecutionState::decode(&exec_bytes)?;
-                let mut proc = Process::new(dst_prog.name(), dst_arch);
-                proc.space.reserve_heap_bytes(header.registered_bytes);
-                dst_prog.setup(&mut proc)?;
-                proc.msrlt.reset_stats();
-                let chunks = ChunkPayload::with_initial(
-                    Box::new(NetChunkSource {
-                        rx,
-                        decode_lat: dst_decode_lat,
-                        last_return: None,
-                    }),
-                    leftover,
-                );
-                let mut ctx = MigCtx::new_resume_streaming(&mut proc, exec, chunks);
-                ctx.set_flight(restore_track);
-                match dst_prog.run(&mut ctx)? {
-                    Flow::Done => {}
-                    Flow::Migrate => {
-                        return Err(MigError::Protocol("resumed program migrated again".into()))
-                    }
-                }
-                let (restore_stats, restore_time) = ctx.restore_totals().ok_or_else(|| {
-                    MigError::Protocol("program finished without restoring all frames".into())
-                })?;
-                let restore_stall = ctx.restore_stall();
-                let done_at = ctx.restore_completed_at();
-                let results = dst_prog.results(&mut proc)?;
-                Ok(DstOutcome {
-                    results,
-                    restore_stats,
-                    restore_time,
-                    restore_stall,
-                    msrlt: proc.msrlt.stats(),
-                    done_at,
-                })
-            });
+    if let (Err(err), Some((policy, recovery, mut ladder_stats))) = (&attempt.result, ladder) {
+        // --- rung 3: discard the destination ---
+        ladder_stats.rung = 3;
+        driver.event_note("fallback.reached", &[], &err.to_string());
+        if policy.fallback == FallbackPolicy::Fail {
+            return Err(err.clone());
+        }
+        // Freeze the recorder state: every worker has joined, so the dump
+        // is complete and — per-track — deterministic for a given
+        // fault-plan seed. Then resume on the source: collection never
+        // mutated it, so collect locally and resume on its own
+        // architecture, discarding whatever the destination half-built.
+        let dump = obs.recorder.dump();
+        let t_collect = Instant::now();
+        let (payload, exec, collect_stats) =
+            collect_pending(&mut proc, &pending, &Tracer::disabled(), None)?;
+        let collect_time = t_collect.elapsed();
+        let image = frame_image(&proc.image_header(), &exec.encode(), &payload);
+        let arch = proc.space.arch().clone();
+        let local = resume(&mut make(), arch, &image, Dst::default())?;
+        // The aborted attempt's wire traffic is the honest Tx cost of the
+        // failure; the local resume ships nothing.
+        let mut report = build_report(
+            &proc,
+            pending.len(),
+            audit,
+            (collect_stats, collect_time),
+            image.len() as u64,
+            attempt.wire.transfer,
+            &local,
+        );
+        report.recovery = Some(RecoveryStats {
+            fallback_taken: true,
+            ..recovery
+        });
+        report.resume = Some(ladder_stats);
+        report.flight = Some(dump);
+        return Ok(MigrationRun {
+            report,
+            results: local.results,
+        });
+    }
 
-            // Source stage (this thread): prefix first, then the
-            // collection DFS flushing through the sink. A failed prefix
-            // send is folded into the sink-disconnect shape so it flows
-            // through the same triage as a mid-collection disconnect.
-            let mut collect_time = Duration::ZERO;
-            let collect_res = if chunk_tx.send(prefix).is_err() {
-                Err(MigError::from(CoreError::Source(
-                    "chunk sink disconnected".into(),
-                )))
-            } else {
-                let enc = Arc::clone(&encode_lat);
-                let t_collect = Instant::now();
-                // Per-chunk encode latency: the gap between successive
-                // chunks leaving the collector is the time the DFS spent
-                // filling (encoding) the chunk that just flushed.
-                let mut last_flush = Instant::now();
-                let r = collect_pending_streamed_flight(
-                    proc,
-                    &pending,
-                    config.chunk_bytes,
-                    &Tracer::disabled(),
-                    Box::new(|c| {
-                        enc.observe(last_flush.elapsed().as_nanos() as u64);
-                        last_flush = Instant::now();
-                        chunk_tx
-                            .send(c)
-                            .map_err(|_| CoreError::Source("chunk sink disconnected".into()))
-                    }),
-                    Some(collect_track),
-                );
-                collect_time = t_collect.elapsed();
-                r
-            };
-            drop(chunk_tx); // end of stream: the wire thread sends LAST
-
-            // Join BOTH workers on every path — before any early return —
-            // so no exit leaks a blocked thread or discards its error.
-            let dst_res = dst
-                .join()
-                .map_err(|_| MigError::Protocol("destination thread panicked".into()))?;
-            let wire_res = wire
-                .join()
-                .map_err(|_| MigError::Protocol("wire thread panicked".into()))?;
-
-            // Error priority: a collection failure that is not a mere
-            // sink disconnect is the root cause; otherwise the receiving
-            // side's error explains why the sink vanished, and only then
-            // does a wire-thread failure get the blame.
-            let sink_gone = matches!(
-                &collect_res,
-                Err(MigError::Core(m)) if m.contains("chunk sink disconnected")
-            );
-            if let Err(e) = &collect_res {
-                if !sink_gone {
-                    return Err(e.clone());
-                }
-            }
-            let dst_out = dst_res?;
-            let (wire_frames, transfer) = wire_res.map_err(MigError::from)?;
-            let (_, collect_stats) = collect_res?;
-            Ok((collect_time, collect_stats, wire_frames, transfer, dst_out))
-        })?;
-
-    let e2e_time = dst_out
-        .done_at
-        .map(|t| t.saturating_duration_since(t_start))
-        .unwrap_or_default();
-    let tx_time = transfer.modeled_tx_time();
-    driver_track.event("phase.tx", &[("bytes", transfer.bytes_sent)]);
-    driver_track.event(
+    let (restored, collect_stats) = attempt.result?;
+    let transfer = attempt.wire.transfer;
+    driver.event("phase.tx", &[("bytes", transfer.bytes_sent)]);
+    driver.event(
         "phase.restore",
         &[
-            ("bytes_in", dst_out.restore_stats.bytes_in),
-            ("blocks", dst_out.restore_stats.blocks_restored),
+            ("bytes_in", restored.stats.bytes_in),
+            ("blocks", restored.stats.blocks_restored),
         ],
     );
-    let pipeline = PipelineStats {
-        chunks: wire_frames as u64,
-        chunk_bytes: config.chunk_bytes as u64,
-        collect_time,
-        tx_time,
-        restore_time: dst_out.restore_time,
-        restore_stall: dst_out.restore_stall,
-        e2e_time,
-        encode_lat: encode_lat.snapshot(),
-        decode_lat: decode_lat.snapshot(),
-    };
-    let report = MigrationReport {
-        image_bytes: prefix_len + collect_stats.bytes_out,
-        memory_bytes: collect_stats.bytes_out,
-        collect_time,
-        tx_time,
-        restore_time: dst_out.restore_time,
-        collect_stats,
-        src_msrlt: src.msrlt.stats(),
-        restore_stats: dst_out.restore_stats,
-        dst_msrlt: dst_out.msrlt,
-        src_polls: src.poll_count(),
-        chain_depth,
+    let image_bytes = prefix.len() as u64 + collect_stats.bytes_out;
+    let mut report = build_report(
+        &proc,
+        pending.len(),
+        audit,
+        (collect_stats, attempt.collect_time),
+        image_bytes,
         transfer,
-        trace: None,
-        pipeline: Some(pipeline),
-        recovery: None,
-        registry_audit: Some(registry_audit),
-        shards: None,
-        restore_shards: None,
-        plan: None,
-        resume: None,
-        flight: None,
-    };
-    Ok(report_migration(
-        &Tracer::disabled(),
+        &restored,
+    );
+    report.pipeline = Some(PipelineStats {
+        chunks: attempt.wire.frames as u64,
+        chunk_bytes: config.chunk_bytes as u64,
+        collect_time: attempt.collect_time,
+        tx_time: report.tx_time,
+        restore_time: restored.time,
+        restore_stall: restored.stall,
+        e2e_time: restored
+            .done_at
+            .map(|t| t.saturating_duration_since(t_start))
+            .unwrap_or_default(),
+        encode_lat,
+        decode_lat,
+    });
+    if let Some((_, recovery, resume)) = ladder {
+        report.recovery = Some(recovery);
+        report.resume = Some(resume);
+    }
+    Ok(MigrationRun {
         report,
-        dst_out.results,
-    ))
+        results: restored.results,
+    })
+}
+
+/// Rungs 1 and 2 of the degradation ladder: an ARQ attempt (retries
+/// alone), then — if it died and policy allows — a resume from the
+/// destination's chunk journal. Returns the attempt that stands (its
+/// `result` an error if rung 3 must take over) with the recovery
+/// accounting.
+fn climb_ladder<P: MigratableProgram>(
+    cx: &mut StreamCtx<'_>,
+    make: &impl Fn() -> P,
+    faults: FaultPlan,
+    policy: RecoveryPolicy,
+    recorder: &FlightRecorder,
+    driver: &FlightTrack,
+) -> Result<(AttemptOutcome, RecoveryStats, ResumeStats), MigError> {
+    let arq = ArqConfig {
+        window: 32,
+        max_retries: policy.max_retries,
+        base_backoff: policy.backoff,
+    };
+    let journal = Arc::new(Mutex::new(RestoreJournal::new(image_id(cx.prefix))));
+
+    // --- rung 1: ARQ retransmission alone ---
+    let transport = Transport::Arq {
+        faults,
+        arq,
+        journal: Arc::clone(&journal),
+        ledger: None,
+    };
+    let mut attempt = stream_attempt(
+        cx,
+        make(),
+        transport,
+        Tracks::new(
+            recorder,
+            ["collect", "arq.tx", "arq.rx", "fault", "restore"],
+        ),
+    )?;
+    let mut recovery =
+        RecoveryStats::from_parts(attempt.wire.sender, attempt.receiver, attempt.wire.faults);
+    let journal = journal.lock().unwrap_or_else(|p| p.into_inner());
+    let mut resume = ResumeStats {
+        rung: 1,
+        journal_chunks: journal.next_chunk() as u64,
+        ..ResumeStats::default()
+    };
+    let Err(err) = &attempt.result else {
+        return Ok((attempt, recovery, resume));
+    };
+    // Note the failure on the driver track; the dump (frozen later, after
+    // the ladder has run) is complete and — per-track — deterministic for
+    // a given fault-plan seed.
+    driver.event_note("attempt.failed", &[], &err.to_string());
+
+    // --- rung 2: resume from the destination's chunk journal ---
+    // The journal is round-tripped through its durable encoding: a
+    // recreated destination only has bytes on disk, and a journal that
+    // fails its own CRC is treated as absent.
+    let rung2_journal = if !policy.resume {
+        Err(Rung2Skip::PolicyDisabled)
+    } else if attempt.src_crashed {
+        // Nothing left to send: the resume handshake needs a live source
+        // holding the ledger.
+        Err(Rung2Skip::SourceCrashed)
+    } else {
+        match RestoreJournal::decode(&journal.encode()) {
+            Ok(mut j) if j.next_chunk() > 0 => {
+                if faults.tamper_journal {
+                    j.tamper_record(0);
+                }
+                Ok(j)
+            }
+            _ => Err(Rung2Skip::NoJournal),
+        }
+    };
+    let j = match rung2_journal {
+        Ok(j) => j,
+        Err(skip) => {
+            resume.skip = Some(skip);
+            driver.event_note("resume.skipped", &[], &skip.to_string());
+            return Ok((attempt, recovery, resume));
+        }
+    };
+    resume.rung2_attempted = true;
+    let next = j.next_chunk();
+    driver.event("resume.attempt", &[("next_chunk", next as u64)]);
+    let transport = Transport::Arq {
+        faults: faults.resume_plan(),
+        arq,
+        journal: Arc::new(Mutex::new(j)),
+        ledger: Some(attempt.wire.records.clone()),
+    };
+    let retry = stream_attempt(cx, make(), transport, Tracks::new(recorder, RESUME_TRACKS))?;
+    recovery.merge_from(&RecoveryStats::from_parts(
+        retry.wire.sender,
+        retry.receiver,
+        retry.wire.faults,
+    ));
+    if retry.wire.rejected {
+        // The sender refused to splice onto an unverifiable base; both
+        // sides rolled back cleanly. Rung 3 restarts from scratch.
+        resume.skip = Some(Rung2Skip::DigestMismatch);
+        driver.event_note(
+            "resume.rejected",
+            &[],
+            "journal digest mismatch: rolled back to a clean restart",
+        );
+    } else if let Err(e) = &retry.result {
+        resume.skip = Some(Rung2Skip::TransferFailed);
+        driver.event_note("resume.failed", &[], &e.to_string());
+    } else {
+        resume.rung = 2;
+        resume.chunks_replayed = next as u64;
+        resume.bytes_saved = retry.wire.bytes_saved_wire;
+        resume.chunks_retransferred = retry.wire.frames.saturating_sub(next) as u64;
+        resume.bytes_retransferred = retry.wire.transfer.bytes_sent;
+        resume.wire_replays = retry.receiver.replays_below_start;
+        driver.event(
+            "resume.completed",
+            &[
+                ("chunks_replayed", resume.chunks_replayed),
+                ("bytes_saved", resume.bytes_saved),
+            ],
+        );
+        // Adopt the rung-2 outcome, folding rung 1's wire traffic and
+        // collect time in so Tx and Collect stay honest about the total.
+        let (first_transfer, first_collect) = (attempt.wire.transfer, attempt.collect_time);
+        attempt = retry;
+        attempt.wire.transfer.merge_from(&first_transfer);
+        attempt.collect_time += first_collect;
+    }
+    Ok((attempt, recovery, resume))
 }
 
 /// What to do when the migration stream cannot be repaired.
@@ -1312,7 +1647,7 @@ pub enum FallbackPolicy {
     Fail,
 }
 
-/// Recovery tuning for [`run_migrating_resilient`].
+/// Recovery tuning for [`Route::Resilient`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// Retransmissions allowed per chunk before the stream is declared dead.
@@ -1341,23 +1676,24 @@ impl Default for RecoveryPolicy {
 /// Why rung 2 (resume-from-journal) of the degradation ladder was not the
 /// rung that completed the migration, surfaced in
 /// [`ResumeStats::skip`] so operators can tell a policy choice from a
-/// corrupt journal.
+/// corrupt journal. The discriminant is the `skip` code in the `resume`
+/// stat group (0 = no skip).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rung2Skip {
     /// [`RecoveryPolicy::resume`] was `false`; never attempted.
-    PolicyDisabled,
+    PolicyDisabled = 1,
     /// The *source* died mid-collect; a destination journal cannot help
     /// because there is nothing left to send.
-    SourceCrashed,
+    SourceCrashed = 2,
     /// The destination left no usable journal (it died before verifying
     /// a single chunk, or the journal failed its own CRC on decode).
-    NoJournal,
+    NoJournal = 3,
     /// The sender rejected the resume handshake: the journal digest did
     /// not match the send ledger, so splicing would risk a corrupt
     /// image. Rolled back to a clean full restart.
-    DigestMismatch,
+    DigestMismatch = 4,
     /// Rung 2 was attempted but the resumed transfer itself failed.
-    TransferFailed,
+    TransferFailed = 5,
 }
 
 impl std::fmt::Display for Rung2Skip {
@@ -1418,17 +1754,7 @@ impl StatGroup for ResumeStats {
             StatField::count("bytes_retransferred", self.bytes_retransferred),
             StatField::count("wire_replays", self.wire_replays),
             StatField::count("rung2_attempted", self.rung2_attempted as u64),
-            StatField::count(
-                "skip",
-                match self.skip {
-                    None => 0,
-                    Some(Rung2Skip::PolicyDisabled) => 1,
-                    Some(Rung2Skip::SourceCrashed) => 2,
-                    Some(Rung2Skip::NoJournal) => 3,
-                    Some(Rung2Skip::DigestMismatch) => 4,
-                    Some(Rung2Skip::TransferFailed) => 5,
-                },
-            ),
+            StatField::count("skip", self.skip.map_or(0, |s| s as u64)),
         ]
     }
 
@@ -1492,10 +1818,9 @@ impl RecoveryStats {
         sender: ArqSenderStats,
         receiver: hpm_net::ArqReceiverSnapshot,
         faults: FaultStats,
-        fallback_taken: bool,
     ) -> Self {
         RecoveryStats {
-            fallback_taken,
+            fallback_taken: false,
             retransmits: sender.retransmits,
             timeouts: sender.timeouts,
             corrupt_caught: receiver.corrupt_caught,
@@ -1548,698 +1873,6 @@ impl StatGroup for RecoveryStats {
         self.modeled_delay_nanos += other.modeled_delay_nanos;
         self.retry_hist.merge(&other.retry_hist);
     }
-}
-
-/// Adapter: the ARQ receiver as the restorer's [`ChunkSource`], with the
-/// same per-chunk decode-latency accounting as [`NetChunkSource`].
-struct ReliableNetChunkSource {
-    rx: ReliableChunkReceiver,
-    decode_lat: Arc<Histogram>,
-    last_return: Option<Instant>,
-}
-
-impl ChunkSource for ReliableNetChunkSource {
-    fn next_chunk(&mut self) -> Result<Option<Vec<u8>>, CoreError> {
-        if let Some(t) = self.last_return.take() {
-            self.decode_lat.observe(t.elapsed().as_nanos() as u64);
-        }
-        let r = self
-            .rx
-            .recv_chunk()
-            .map_err(|e| CoreError::Source(e.to_string()));
-        self.last_return = Some(Instant::now());
-        r
-    }
-}
-
-/// What one resilient migration attempt produced.
-struct AttemptOutcome {
-    collect_time: Duration,
-    collect_stats: Option<CollectStats>,
-    wire_frames: u32,
-    sender_stats: ArqSenderStats,
-    fault_stats: FaultStats,
-    transfer: TransferSnapshot,
-    receiver: ArqReceiverSnapshot,
-    /// Send ledger: one [`ChunkRecord`] per framed chunk, in sequence
-    /// order. A later resume handshake validates against it.
-    records: Vec<ChunkRecord>,
-    /// Wire bytes the resume handshake avoided re-sending (resume
-    /// attempts only; zero for a fresh stream).
-    bytes_saved_wire: u64,
-    dst: Option<DstOutcome>,
-    /// The injected source crash fired mid-collect.
-    src_crashed: bool,
-    /// The sender refused the resume handshake (digest/range/id).
-    resume_rejected: bool,
-    /// The failure that killed the attempt, if any.
-    error: Option<MigError>,
-}
-
-/// Flight tracks for one resilient attempt. Tracks are single-writer,
-/// so a rung-2 resume passes `.resume`-suffixed names instead of
-/// re-using rung 1's.
-struct AttemptTracks {
-    collect: FlightTrack,
-    arq_tx: FlightTrack,
-    arq_rx: FlightTrack,
-    fault: FlightTrack,
-    restore: FlightTrack,
-}
-
-/// One transfer attempt of the resilient driver: an ARQ sender on a wire
-/// thread (behind the fault-injected endpoint), a journaling ARQ
-/// receiver feeding a streaming restore on a destination thread, and the
-/// collection DFS on the calling thread.
-///
-/// Two modes share this body:
-///
-/// * **Fresh** (`resume_ledger == None`): the receiver starts at chunk 0
-///   and journals every CRC-verified chunk into `journal`.
-/// * **Resume** (`resume_ledger == Some(..)`): the receiver re-attaches
-///   from `journal` — replaying the journaled prefix through the normal
-///   restore path of a *fresh* process, never splicing into a half-built
-///   one — and opens with a `ResumeRequest` handshake; the sender
-///   validates the journal digest against `resume_ledger` and
-///   fast-forwards past the verified chunks, or rejects and ships
-///   nothing so both sides unwind to a clean restart.
-#[allow(clippy::too_many_arguments)]
-fn resilient_attempt<P: MigratableProgram + Send>(
-    mut dst_prog: P,
-    proc: &mut Process,
-    pending: &[PendingFrame],
-    prefix: Vec<u8>,
-    dst_arch: Architecture,
-    link: NetworkModel,
-    config: PipelineConfig,
-    arq: ArqConfig,
-    plan: FaultPlan,
-    journal: Arc<Mutex<RestoreJournal>>,
-    resume_ledger: Option<Vec<ChunkRecord>>,
-    encode_lat: &Arc<Histogram>,
-    decode_lat: &Arc<Histogram>,
-    tracks: AttemptTracks,
-) -> Result<AttemptOutcome, MigError> {
-    let img_id = image_id(&prefix);
-    let (src_end, dst_end) = channel_pair(link);
-    let endpoint = FaultyEndpoint::new(src_end, plan).with_flight(tracks.fault);
-    let resuming = resume_ledger.is_some();
-    let (rx, replay) = if resuming {
-        let guard = journal.lock().unwrap_or_else(|p| p.into_inner());
-        let rx =
-            ReliableChunkReceiver::new_resuming(dst_end, arq, &guard).map_err(MigError::from)?;
-        (rx, guard.payloads().to_vec())
-    } else {
-        (ReliableChunkReceiver::new(dst_end, arq), Vec::new())
-    };
-    let mut rx = rx
-        .with_flight(tracks.arq_rx)
-        .with_journal(Arc::clone(&journal))
-        .with_crash_at(plan.dst_crash_at);
-    let rx_counters = rx.counters();
-    let (chunk_tx, chunk_rx) = std::sync::mpsc::channel::<Vec<u8>>();
-    let src_crashed = Arc::new(AtomicBool::new(false));
-    let arq_tx_track = tracks.arq_tx;
-    let collect_track = tracks.collect;
-    let restore_track = tracks.restore;
-
-    std::thread::scope(|s| -> Result<AttemptOutcome, MigError> {
-        // Wire stage: optionally the resume handshake, then pace and push
-        // each chunk through the ARQ sender. Stats survive failure.
-        let wire_src_crashed = Arc::clone(&src_crashed);
-        let wire = s.spawn(move || {
-            let mut tx = ReliableChunkSender::new(endpoint, arq)
-                .with_codec(config.codec)
-                .with_flight(arq_tx_track);
-            let mut err = None;
-            let mut rejected = false;
-            let mut skip = 0u32;
-            let mut bytes_saved_wire = 0u64;
-            if let Some(ledger) = &resume_ledger {
-                match tx.accept_resume(img_id, ledger) {
-                    Ok(ResumeDecision::Accepted {
-                        next,
-                        bytes_saved_wire: saved,
-                        ..
-                    }) => {
-                        skip = next;
-                        bytes_saved_wire = saved;
-                    }
-                    Ok(ResumeDecision::Rejected(_)) => rejected = true,
-                    Err(e) => err = Some(e),
-                }
-            }
-            if err.is_none() && !rejected {
-                let mut idx = 0u32;
-                while let Ok(chunk) = chunk_rx.recv() {
-                    let i = idx;
-                    idx += 1;
-                    if i < skip {
-                        // Already CRC-verified and journaled on the
-                        // destination; the handshake promised not to
-                        // re-send it.
-                        continue;
-                    }
-                    if config.pace {
-                        let d = link.tx_time(chunk.len() as u64).mul_f64(config.pace_scale);
-                        if !d.is_zero() {
-                            std::thread::sleep(d);
-                        }
-                    }
-                    if let Err(e) = tx.send(&chunk) {
-                        err = Some(e);
-                        break;
-                    }
-                }
-            }
-            let mut frames = tx.chunks_sent();
-            // A crashed source never sends its terminator — and a
-            // rejected handshake ships nothing at all.
-            if err.is_none() && !rejected && !wire_src_crashed.load(Ordering::SeqCst) {
-                match tx.finish() {
-                    Ok(n) => frames = n,
-                    Err(e) => err = Some(e),
-                }
-            }
-            let stats = tx.stats();
-            let records = tx.records().to_vec();
-            let endpoint = tx.into_link();
-            let faults = endpoint.stats();
-            let transfer = endpoint.channel().stats().snapshot();
-            // Dropping the endpoint here severs the link and unblocks a
-            // stalled destination with `Disconnected`.
-            (
-                err,
-                frames,
-                stats,
-                records,
-                faults,
-                transfer,
-                rejected,
-                bytes_saved_wire,
-            )
-        });
-
-        // Destination stage: identical to the pipelined path but fed by
-        // the ARQ receiver — behind the journal replay when resuming.
-        let dst_decode_lat = Arc::clone(decode_lat);
-        let dst = s.spawn(move || -> Result<DstOutcome, MigError> {
-            let mut replay = replay;
-            let first = if replay.is_empty() {
-                rx.recv_chunk()
-                    .map_err(MigError::from)?
-                    .ok_or_else(|| MigError::Protocol("empty migration stream".into()))?
-            } else {
-                replay.remove(0)
-            };
-            let (header, exec_bytes, leftover) = unframe_image(&first)?;
-            if header.program != dst_prog.name() {
-                return Err(MigError::Protocol(format!(
-                    "image is for program '{}', not '{}'",
-                    header.program,
-                    dst_prog.name()
-                )));
-            }
-            let exec = ExecutionState::decode(&exec_bytes)?;
-            let mut proc = Process::new(dst_prog.name(), dst_arch);
-            proc.space.reserve_heap_bytes(header.registered_bytes);
-            dst_prog.setup(&mut proc)?;
-            proc.msrlt.reset_stats();
-            let live = Box::new(ReliableNetChunkSource {
-                rx,
-                decode_lat: dst_decode_lat,
-                last_return: None,
-            });
-            let source: Box<dyn ChunkSource + Send> = if replay.is_empty() {
-                live
-            } else {
-                Box::new(ReplaySource::new(replay, live))
-            };
-            let chunks = ChunkPayload::with_initial(source, leftover);
-            let mut ctx = MigCtx::new_resume_streaming(&mut proc, exec, chunks);
-            ctx.set_flight(restore_track);
-            match dst_prog.run(&mut ctx)? {
-                Flow::Done => {}
-                Flow::Migrate => {
-                    return Err(MigError::Protocol("resumed program migrated again".into()))
-                }
-            }
-            let (restore_stats, restore_time) = ctx.restore_totals().ok_or_else(|| {
-                MigError::Protocol("program finished without restoring all frames".into())
-            })?;
-            let restore_stall = ctx.restore_stall();
-            let done_at = ctx.restore_completed_at();
-            let results = dst_prog.results(&mut proc)?;
-            Ok(DstOutcome {
-                results,
-                restore_stats,
-                restore_time,
-                restore_stall,
-                msrlt: proc.msrlt.stats(),
-                done_at,
-            })
-        });
-
-        // Source stage (this thread): prefix, then the collection DFS —
-        // with the injected source crash counted in flushed chunks (the
-        // prefix is flush 0).
-        let mut collect_time = Duration::ZERO;
-        let src_crash_at = plan.src_crash_at;
-        let collect_res = if src_crash_at == Some(0) {
-            src_crashed.store(true, Ordering::SeqCst);
-            Err(MigError::from(CoreError::Source(
-                "source crashed mid-collect".into(),
-            )))
-        } else if chunk_tx.send(prefix).is_err() {
-            Err(MigError::from(CoreError::Source(
-                "chunk sink disconnected".into(),
-            )))
-        } else {
-            let enc = Arc::clone(encode_lat);
-            let crash_flag = &src_crashed;
-            let mut flushed = 0u32;
-            let t_collect = Instant::now();
-            let mut last_flush = Instant::now();
-            let r = collect_pending_streamed_flight(
-                proc,
-                pending,
-                config.chunk_bytes,
-                &Tracer::disabled(),
-                Box::new(|c| {
-                    flushed += 1;
-                    if src_crash_at == Some(flushed) {
-                        crash_flag.store(true, Ordering::SeqCst);
-                        return Err(CoreError::Source("source crashed mid-collect".into()));
-                    }
-                    enc.observe(last_flush.elapsed().as_nanos() as u64);
-                    last_flush = Instant::now();
-                    chunk_tx
-                        .send(c)
-                        .map_err(|_| CoreError::Source("chunk sink disconnected".into()))
-                }),
-                Some(collect_track),
-            );
-            collect_time = t_collect.elapsed();
-            r
-        };
-        drop(chunk_tx);
-
-        // Join every worker on every path; no exit leaks a thread.
-        let dst_res = dst
-            .join()
-            .map_err(|_| MigError::Protocol("destination thread panicked".into()))?;
-        let (wire_err, wire_frames, sender_stats, records, fault_stats, transfer, rejected, saved) =
-            wire.join()
-                .map_err(|_| MigError::Protocol("wire thread panicked".into()))?;
-
-        // Triage mirrors the pipelined path: collect (unless the sink
-        // merely vanished) > destination > wire.
-        let sink_gone = matches!(
-            &collect_res,
-            Err(MigError::Core(m)) if m.contains("chunk sink disconnected")
-        );
-        let error = match &collect_res {
-            Err(e) if !sink_gone => Some(e.clone()),
-            _ => match (&dst_res, &wire_err) {
-                // Exhausted retries are the root cause even though the
-                // destination also observes the link going dead.
-                (_, Some(e @ NetError::RetriesExhausted { .. })) => Some(MigError::from(e.clone())),
-                (Err(e), _) => Some(e.clone()),
-                (Ok(_), Some(e)) => Some(MigError::from(e.clone())),
-                (Ok(_), None) => None,
-            },
-        };
-        Ok(AttemptOutcome {
-            collect_time,
-            collect_stats: collect_res.ok().map(|(_, s)| s),
-            wire_frames,
-            sender_stats,
-            fault_stats,
-            transfer,
-            receiver: rx_counters.snapshot(),
-            records,
-            bytes_saved_wire: saved,
-            dst: dst_res.ok(),
-            src_crashed: src_crashed.load(Ordering::SeqCst),
-            resume_rejected: rejected,
-            error,
-        })
-    })
-}
-
-/// [`run_migrating_pipelined`] over a lossy link: chunks carry CRC-32,
-/// an ack/nack protocol retransmits damaged or dropped frames under
-/// `policy`, and — when the stream cannot be repaired — the partial
-/// destination is discarded and the program resumes **on the source**
-/// from its annotation poll point, which collection never mutated.
-///
-/// `plan` drives the deterministic fault injector; pass
-/// [`FaultPlan::none`] for a clean (but still CRC- and ack-protected)
-/// run. The report's [`RecoveryStats`] group records what the machinery
-/// did; all of its fields are reproducible from the plan's seed.
-#[allow(clippy::too_many_arguments)]
-pub fn run_migrating_resilient<P: MigratableProgram + Send>(
-    make: impl Fn() -> P,
-    src_arch: Architecture,
-    dst_arch: Architecture,
-    link: NetworkModel,
-    trigger: Trigger,
-    config: PipelineConfig,
-    plan: FaultPlan,
-    policy: RecoveryPolicy,
-) -> Result<MigrationRun, MigError> {
-    let recorder = FlightRecorder::new();
-    run_migrating_resilient_recorded(
-        make, src_arch, dst_arch, link, trigger, config, plan, policy, &recorder,
-    )
-    .inspect_err(|_| persist_flight_dump(&recorder.dump()))
-}
-
-/// [`run_migrating_resilient`] with a caller-supplied [`FlightRecorder`].
-///
-/// Every recovery component logs to its own track (`arq.tx`, `arq.rx`,
-/// `fault`, `collect`, `restore`, `driver`), and when the attempt dies
-/// the driver notes the failure and — on a source-resume fallback —
-/// attaches the full [`FlightDump`] to the report, so the failing seed
-/// itself names the exact chunk, attempt, and phase.
-#[allow(clippy::too_many_arguments)]
-pub fn run_migrating_resilient_recorded<P: MigratableProgram + Send>(
-    make: impl Fn() -> P,
-    src_arch: Architecture,
-    dst_arch: Architecture,
-    link: NetworkModel,
-    trigger: Trigger,
-    config: PipelineConfig,
-    plan: FaultPlan,
-    policy: RecoveryPolicy,
-    recorder: &FlightRecorder,
-) -> Result<MigrationRun, MigError> {
-    let driver_track = recorder.track("driver");
-    let collect_track = recorder.track("collect");
-    let arq_tx_track = recorder.track("arq.tx");
-    let arq_rx_track = recorder.track("arq.rx");
-    let fault_track = recorder.track("fault");
-    let restore_track = recorder.track("restore");
-    let encode_lat = Arc::new(Histogram::new());
-    let decode_lat = Arc::new(Histogram::new());
-
-    // --- source side: run to the migration point ---
-    let mut src_prog = make();
-    let mut src = Process::new(src_prog.name(), src_arch.clone());
-    src.set_trigger(trigger);
-    src_prog.setup(&mut src)?;
-    let (proc, pending) = run_to_parts(&mut src_prog, &mut src)?;
-    let registry_audit = require_clean_registry(proc)?;
-    proc.msrlt.reset_stats();
-
-    let header = image_header(proc);
-    let exec = pending_exec_state(proc, &pending);
-    let chain_depth = exec.depth();
-    let prefix = frame_image_prefix(&header, &exec.encode());
-    let prefix_len = prefix.len() as u64;
-    driver_track.event(
-        "phase.collect",
-        &[
-            ("prefix_bytes", prefix_len),
-            ("chain_depth", chain_depth as u64),
-        ],
-    );
-
-    let arq = ArqConfig {
-        window: 32,
-        max_retries: policy.max_retries,
-        base_backoff: policy.backoff,
-    };
-    let journal = Arc::new(Mutex::new(RestoreJournal::new(image_id(&prefix))));
-
-    let t_start = Instant::now();
-    // --- rung 1: ARQ retransmission alone ---
-    let mut attempt = resilient_attempt(
-        make(),
-        proc,
-        &pending,
-        prefix.clone(),
-        dst_arch.clone(),
-        link,
-        config,
-        arq,
-        plan,
-        Arc::clone(&journal),
-        None,
-        &encode_lat,
-        &decode_lat,
-        AttemptTracks {
-            collect: collect_track,
-            arq_tx: arq_tx_track,
-            arq_rx: arq_rx_track,
-            fault: fault_track,
-            restore: restore_track,
-        },
-    )?;
-
-    let mut recovery_base = RecoveryStats::from_parts(
-        attempt.sender_stats,
-        attempt.receiver,
-        attempt.fault_stats,
-        false,
-    );
-    let journal_chunks = journal
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .next_chunk() as u64;
-    let mut resume_stats = ResumeStats {
-        rung: 1,
-        journal_chunks,
-        ..ResumeStats::default()
-    };
-
-    if attempt.error.is_some() {
-        // Note the failure on the driver track; the dump (frozen later,
-        // after the ladder has run) is complete and — per-track —
-        // deterministic for a given fault-plan seed.
-        let note = attempt
-            .error
-            .as_ref()
-            .map(|e| e.to_string())
-            .unwrap_or_default();
-        driver_track.event_note("attempt.failed", &[], &note);
-
-        // --- rung 2: resume from the destination's chunk journal ---
-        // The journal is round-tripped through its durable encoding: a
-        // recreated destination only has bytes on disk, and a journal
-        // that fails its own CRC is treated as absent.
-        let mut rung2_journal = None;
-        if !policy.resume {
-            resume_stats.skip = Some(Rung2Skip::PolicyDisabled);
-        } else if attempt.src_crashed {
-            // Nothing left to send: the resume handshake needs a live
-            // source holding the ledger.
-            resume_stats.skip = Some(Rung2Skip::SourceCrashed);
-        } else {
-            let encoded = journal.lock().unwrap_or_else(|p| p.into_inner()).encode();
-            match RestoreJournal::decode(&encoded) {
-                Ok(mut j) if j.next_chunk() > 0 => {
-                    if plan.tamper_journal {
-                        j.tamper_record(0);
-                    }
-                    rung2_journal = Some(j);
-                }
-                _ => resume_stats.skip = Some(Rung2Skip::NoJournal),
-            }
-        }
-        if let Some(note) = &resume_stats.skip {
-            driver_track.event_note("resume.skipped", &[], &note.to_string());
-        }
-
-        if let Some(j) = rung2_journal {
-            resume_stats.rung2_attempted = true;
-            let next = j.next_chunk();
-            driver_track.event("resume.attempt", &[("next_chunk", next as u64)]);
-            let resume_journal = Arc::new(Mutex::new(j));
-            let retry = resilient_attempt(
-                make(),
-                proc,
-                &pending,
-                prefix.clone(),
-                dst_arch.clone(),
-                link,
-                config,
-                arq,
-                plan.resume_plan(),
-                Arc::clone(&resume_journal),
-                Some(attempt.records.clone()),
-                &encode_lat,
-                &decode_lat,
-                AttemptTracks {
-                    collect: recorder.track("collect.resume"),
-                    arq_tx: recorder.track("arq.tx.resume"),
-                    arq_rx: recorder.track("arq.rx.resume"),
-                    fault: recorder.track("fault.resume"),
-                    restore: recorder.track("restore.resume"),
-                },
-            )?;
-            recovery_base.merge_from(&RecoveryStats::from_parts(
-                retry.sender_stats,
-                retry.receiver,
-                retry.fault_stats,
-                false,
-            ));
-            if retry.resume_rejected {
-                // The sender refused to splice onto an unverifiable
-                // base; both sides rolled back cleanly. Rung 3 restarts
-                // from scratch.
-                resume_stats.skip = Some(Rung2Skip::DigestMismatch);
-                driver_track.event_note(
-                    "resume.rejected",
-                    &[],
-                    "journal digest mismatch: rolled back to a clean restart",
-                );
-            } else if let Some(e) = &retry.error {
-                resume_stats.skip = Some(Rung2Skip::TransferFailed);
-                driver_track.event_note("resume.failed", &[], &e.to_string());
-            } else {
-                resume_stats.rung = 2;
-                resume_stats.chunks_replayed = next as u64;
-                resume_stats.bytes_saved = retry.bytes_saved_wire;
-                resume_stats.chunks_retransferred = retry.wire_frames.saturating_sub(next) as u64;
-                resume_stats.bytes_retransferred = retry.transfer.bytes_sent;
-                resume_stats.wire_replays = retry.receiver.replays_below_start;
-                driver_track.event(
-                    "resume.completed",
-                    &[
-                        ("chunks_replayed", resume_stats.chunks_replayed),
-                        ("bytes_saved", resume_stats.bytes_saved),
-                    ],
-                );
-                // Adopt the rung-2 outcome, folding rung 1's wire
-                // traffic and collect time in so Tx and Collect stay
-                // honest about the total cost.
-                let first_transfer = attempt.transfer;
-                let first_collect = attempt.collect_time;
-                attempt = retry;
-                attempt.transfer.merge_from(&first_transfer);
-                attempt.collect_time += first_collect;
-            }
-        }
-    }
-
-    if let Some(err) = attempt.error {
-        // --- rung 3: discard the destination, resume on the source ---
-        // Freeze the recorder state: every worker has joined, so the
-        // dump is complete and — per-track — deterministic for a given
-        // fault-plan seed.
-        resume_stats.rung = 3;
-        driver_track.event_note("fallback.reached", &[], &err.to_string());
-        let dump = recorder.dump();
-        match policy.fallback {
-            FallbackPolicy::Fail => {
-                persist_flight_dump(&dump);
-                return Err(err);
-            }
-            FallbackPolicy::SourceResume => {
-                persist_flight_dump(&dump);
-                // The source process was never mutated by collection:
-                // collect locally and resume on the source architecture,
-                // discarding whatever the destination half-built.
-                let t_collect = Instant::now();
-                let (payload, exec, collect_stats) = collect_pending(&mut src, &pending)?;
-                let collect_time = t_collect.elapsed();
-                let header = image_header(&src);
-                let image = frame_image(&header, &exec.encode(), &payload);
-                let mut resumed = make();
-                let (results, local, restore_stats, restore_time) =
-                    resume_from_image(&mut resumed, src_arch, &image)?;
-                let report = MigrationReport {
-                    image_bytes: image.len() as u64,
-                    memory_bytes: collect_stats.bytes_out,
-                    collect_time,
-                    // The aborted attempt's wire traffic is the honest Tx
-                    // cost of the failure; the local resume ships nothing.
-                    tx_time: attempt.transfer.modeled_tx_time(),
-                    restore_time,
-                    collect_stats,
-                    src_msrlt: src.msrlt.stats(),
-                    restore_stats,
-                    dst_msrlt: local.msrlt.stats(),
-                    src_polls: src.poll_count(),
-                    chain_depth,
-                    transfer: attempt.transfer,
-                    trace: None,
-                    pipeline: None,
-                    recovery: Some(RecoveryStats {
-                        fallback_taken: true,
-                        ..recovery_base
-                    }),
-                    registry_audit: Some(registry_audit),
-                    shards: None,
-                    restore_shards: None,
-                    plan: None,
-                    resume: Some(resume_stats),
-                    flight: Some(dump),
-                };
-                return Ok(MigrationRun { report, results });
-            }
-        }
-    }
-
-    let dst_out = attempt
-        .dst
-        .ok_or_else(|| MigError::Protocol("attempt succeeded without a destination".into()))?;
-    let collect_stats = attempt
-        .collect_stats
-        .ok_or_else(|| MigError::Protocol("attempt succeeded without collection stats".into()))?;
-    let e2e_time = dst_out
-        .done_at
-        .map(|t| t.saturating_duration_since(t_start))
-        .unwrap_or_default();
-    let tx_time = attempt.transfer.modeled_tx_time();
-    driver_track.event("phase.tx", &[("bytes", attempt.transfer.bytes_sent)]);
-    driver_track.event(
-        "phase.restore",
-        &[
-            ("bytes_in", dst_out.restore_stats.bytes_in),
-            ("blocks", dst_out.restore_stats.blocks_restored),
-        ],
-    );
-    let pipeline = PipelineStats {
-        chunks: attempt.wire_frames as u64,
-        chunk_bytes: config.chunk_bytes as u64,
-        collect_time: attempt.collect_time,
-        tx_time,
-        restore_time: dst_out.restore_time,
-        restore_stall: dst_out.restore_stall,
-        e2e_time,
-        encode_lat: encode_lat.snapshot(),
-        decode_lat: decode_lat.snapshot(),
-    };
-    let report = MigrationReport {
-        image_bytes: prefix_len + collect_stats.bytes_out,
-        memory_bytes: collect_stats.bytes_out,
-        collect_time: attempt.collect_time,
-        tx_time,
-        restore_time: dst_out.restore_time,
-        collect_stats,
-        src_msrlt: src.msrlt.stats(),
-        restore_stats: dst_out.restore_stats,
-        dst_msrlt: dst_out.msrlt,
-        src_polls: src.poll_count(),
-        chain_depth,
-        transfer: attempt.transfer,
-        trace: None,
-        pipeline: Some(pipeline),
-        recovery: Some(recovery_base),
-        registry_audit: Some(registry_audit),
-        shards: None,
-        restore_shards: None,
-        plan: None,
-        resume: Some(resume_stats),
-        flight: None,
-    };
-    Ok(report_migration(
-        &Tracer::disabled(),
-        report,
-        dst_out.results,
-    ))
 }
 
 #[cfg(test)]
@@ -2360,13 +1993,14 @@ mod tests {
             pace_scale: 0.0,
             codec: WireCodec::default(),
         };
-        let run = run_migrating_pipelined(
+        let run = migrate(
             || Summer::new(500),
             Architecture::dec5000(),
             Architecture::sparc20(),
             hpm_net::NetworkModel::ethernet_10(),
             Trigger::AtPollCount(250),
-            cfg,
+            Route::Pipelined(cfg),
+            &Obs::default(),
         )
         .unwrap();
         assert_eq!(run.results[0].1, expected_sum(500));
@@ -2452,24 +2086,28 @@ mod tests {
 
     #[test]
     fn resilient_zero_fault_matches_pipelined() {
-        let pipelined = run_migrating_pipelined(
+        let pipelined = migrate(
             || Summer::new(500),
             Architecture::dec5000(),
             Architecture::sparc20(),
             hpm_net::NetworkModel::ethernet_10(),
             Trigger::AtPollCount(250),
-            quick_cfg(),
+            Route::Pipelined(quick_cfg()),
+            &Obs::default(),
         )
         .unwrap();
-        let resilient = run_migrating_resilient(
+        let resilient = migrate(
             || Summer::new(500),
             Architecture::dec5000(),
             Architecture::sparc20(),
             hpm_net::NetworkModel::ethernet_10(),
             Trigger::AtPollCount(250),
-            quick_cfg(),
-            FaultPlan::none(),
-            quick_policy(),
+            Route::Resilient {
+                config: quick_cfg(),
+                faults: FaultPlan::none(),
+                policy: quick_policy(),
+            },
+            &Obs::default(),
         )
         .unwrap();
         assert_eq!(resilient.results, pipelined.results);
@@ -2496,15 +2134,18 @@ mod tests {
             disconnect_at: None,
             ..FaultPlan::none()
         };
-        let run = run_migrating_resilient(
+        let run = migrate(
             || Summer::new(500),
             Architecture::dec5000(),
             Architecture::sparc20(),
             hpm_net::NetworkModel::ethernet_10(),
             Trigger::AtPollCount(250),
-            quick_cfg(),
-            plan,
-            quick_policy(),
+            Route::Resilient {
+                config: quick_cfg(),
+                faults: plan,
+                policy: quick_policy(),
+            },
+            &Obs::default(),
         )
         .unwrap();
         assert_eq!(run.results[0].1, expected_sum(500));
@@ -2525,15 +2166,18 @@ mod tests {
             resume: false,
             ..quick_policy()
         };
-        let run = run_migrating_resilient(
+        let run = migrate(
             || Summer::new(500),
             Architecture::dec5000(),
             Architecture::sparc20(),
             hpm_net::NetworkModel::ethernet_10(),
             Trigger::AtPollCount(250),
-            quick_cfg(),
-            plan,
-            policy,
+            Route::Resilient {
+                config: quick_cfg(),
+                faults: plan,
+                policy,
+            },
+            &Obs::default(),
         )
         .unwrap();
         // The answer is still right — computed on the source.
@@ -2554,15 +2198,18 @@ mod tests {
             disconnect_at: Some(2), // the prefix and one payload chunk land
             ..FaultPlan::none()
         };
-        let run = run_migrating_resilient(
+        let run = migrate(
             || Summer::new(500),
             Architecture::dec5000(),
             Architecture::sparc20(),
             hpm_net::NetworkModel::ethernet_10(),
             Trigger::AtPollCount(250),
-            quick_cfg(),
-            plan,
-            quick_policy(),
+            Route::Resilient {
+                config: quick_cfg(),
+                faults: plan,
+                policy: quick_policy(),
+            },
+            &Obs::default(),
         )
         .unwrap();
         // The answer is right — and it was computed on the destination,
@@ -2595,15 +2242,18 @@ mod tests {
             resume: false,
             ..quick_policy()
         };
-        let err = run_migrating_resilient(
+        let err = migrate(
             || Summer::new(500),
             Architecture::dec5000(),
             Architecture::sparc20(),
             hpm_net::NetworkModel::ethernet_10(),
             Trigger::AtPollCount(250),
-            quick_cfg(),
-            plan,
-            policy,
+            Route::Resilient {
+                config: quick_cfg(),
+                faults: plan,
+                policy,
+            },
+            &Obs::default(),
         )
         .unwrap_err();
         match err {
@@ -2616,15 +2266,18 @@ mod tests {
     fn resilient_recovery_stats_are_reproducible() {
         let plan = FaultPlan::from_seed(0x1CEB00DA);
         let go = || {
-            run_migrating_resilient(
+            migrate(
                 || Summer::new(500),
                 Architecture::dec5000(),
                 Architecture::sparc20(),
                 hpm_net::NetworkModel::ethernet_10(),
                 Trigger::AtPollCount(250),
-                quick_cfg(),
-                plan,
-                quick_policy(),
+                Route::Resilient {
+                    config: quick_cfg(),
+                    faults: plan,
+                    policy: quick_policy(),
+                },
+                &Obs::default(),
             )
             .unwrap()
         };
@@ -2689,18 +2342,19 @@ mod tests {
     fn poisoned_chunk_does_not_hang_the_pipelined_driver() {
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let r = run_migrating_pipelined(
+            let r = migrate(
                 || PoisonedResume { limit: 50_000 },
                 Architecture::dec5000(),
                 Architecture::sparc20(),
                 hpm_net::NetworkModel::ethernet_10(),
                 Trigger::AtPollCount(25_000),
-                PipelineConfig {
+                Route::Pipelined(PipelineConfig {
                     chunk_bytes: 128,
                     pace: false,
                     pace_scale: 0.0,
                     codec: WireCodec::default(),
-                },
+                }),
+                &Obs::default(),
             );
             let _ = done_tx.send(r);
         });
@@ -2719,20 +2373,23 @@ mod tests {
     fn poisoned_chunk_does_not_hang_the_resilient_driver() {
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let r = run_migrating_resilient(
+            let r = migrate(
                 || PoisonedResume { limit: 50_000 },
                 Architecture::dec5000(),
                 Architecture::sparc20(),
                 hpm_net::NetworkModel::ethernet_10(),
                 Trigger::AtPollCount(25_000),
-                PipelineConfig {
-                    chunk_bytes: 128,
-                    pace: false,
-                    pace_scale: 0.0,
-                    codec: WireCodec::default(),
+                Route::Resilient {
+                    config: PipelineConfig {
+                        chunk_bytes: 128,
+                        pace: false,
+                        pace_scale: 0.0,
+                        codec: WireCodec::default(),
+                    },
+                    faults: FaultPlan::none(),
+                    policy: quick_policy(),
                 },
-                FaultPlan::none(),
-                quick_policy(),
+                &Obs::default(),
             );
             let _ = done_tx.send(r);
         });

@@ -19,8 +19,10 @@
 //!   `poll`/`save_frame`/`resume_point`/`restore_frame`/`leave` — the
 //!   expansion of the paper's inserted macros;
 //! * [`MigratableProgram`] — the shape of a transformed program;
-//! * [`driver`] — single-process-pair migration driver producing a
-//!   [`MigrationReport`] with the paper's Collect / Tx / Restore split;
+//! * [`driver`] — the migration engine, [`migrate`]: one pipeline
+//!   (freeze, collect, ship, restore) whose [`Route`] picks how the image
+//!   travels, producing a [`MigrationReport`] with the paper's
+//!   Collect / Tx / Restore split;
 //! * [`cluster`] — a two-machine scheduler running source and destination
 //!   as real threads connected by an `hpm-net` channel.
 //!
@@ -45,33 +47,21 @@ pub mod process;
 pub mod sched;
 
 pub use cluster::{ClusterReport, TwoMachineCluster};
-pub use ctx::{
-    collect_pending, collect_pending_parallel, collect_pending_parallel_flight,
-    collect_pending_streamed, collect_pending_streamed_flight, collect_pending_traced,
-    pending_exec_state, Flow, MigCtx, MigratableProgram, PendingFrame,
-};
+pub use ctx::{Flow, MigCtx, MigratableProgram, PendingFrame};
 pub use driver::{
-    collect_image, collect_image_traced, plan_migration, preflight_audit, resume_from_image,
-    resume_from_image_parallel, resume_from_image_traced, run_migrating, run_migrating_parallel,
-    run_migrating_parallel_recorded, run_migrating_pipelined, run_migrating_pipelined_recorded,
-    run_migrating_planned, run_migrating_planned_recorded, run_migrating_recorded,
-    run_migrating_resilient, run_migrating_resilient_recorded, run_migrating_traced, run_straight,
-    run_to_migration, FallbackPolicy, MigratedSource, MigrationPlan, MigrationReport, MigrationRun,
-    PipelineConfig, PipelineStats, RecoveryPolicy, RecoveryStats, ResumeStats, Rung2Skip,
-    COMPRESS_BYTES_CUTOFF, PARALLEL_BYTES_CUTOFF, WIRE_CHUNK_BYTES,
+    migrate, plan_migration, resume_from_image, resume_from_image_parallel, run_migrating,
+    run_straight, run_to_migration, FallbackPolicy, MigratedSource, MigrationPlan, MigrationReport,
+    MigrationRun, PipelineConfig, PipelineStats, Planning, RecoveryPolicy, RecoveryStats,
+    ResumeStats, Route, Rung2Skip, COMPRESS_BYTES_CUTOFF, PARALLEL_BYTES_CUTOFF, WIRE_CHUNK_BYTES,
 };
 pub use exec::{ExecutionState, FrameState};
+pub use hpm_obs::Obs;
 pub use precopy::{
     resume_to_migration, run_migrating_precopy, run_migrating_precopy_faulty, PrecopyConfig,
     PrecopyRun, PrecopyStats, ResumeFlow,
 };
 pub use process::{Process, Trigger};
 pub use sched::{Job, SchedStats, Scheduler, SimMachine};
-
-use hpm_core::CoreError;
-use hpm_memory::MemError;
-use hpm_net::NetError;
-use hpm_xdr::XdrError;
 
 /// Errors across the migration environment.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,29 +83,19 @@ pub enum MigError {
     Preflight(String),
 }
 
-impl From<CoreError> for MigError {
-    fn from(e: CoreError) -> Self {
-        MigError::Core(e.to_string())
-    }
+/// Each layer's error becomes the [`MigError`] variant named for it.
+macro_rules! from_layer {
+    ($($err:ty => $variant:ident),*) => {$(
+        impl From<$err> for MigError {
+            fn from(e: $err) -> Self {
+                MigError::$variant(e.to_string())
+            }
+        }
+    )*};
 }
 
-impl From<MemError> for MigError {
-    fn from(e: MemError) -> Self {
-        MigError::Mem(e.to_string())
-    }
-}
-
-impl From<XdrError> for MigError {
-    fn from(e: XdrError) -> Self {
-        MigError::Xdr(e.to_string())
-    }
-}
-
-impl From<NetError> for MigError {
-    fn from(e: NetError) -> Self {
-        MigError::Net(e.to_string())
-    }
-}
+from_layer!(hpm_core::CoreError => Core, hpm_memory::MemError => Mem,
+            hpm_xdr::XdrError => Xdr, hpm_net::NetError => Net);
 
 impl std::fmt::Display for MigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

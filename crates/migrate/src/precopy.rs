@@ -1,7 +1,7 @@
 //! Iterative pre-copy migration: ship deltas while the program runs,
 //! freeze only for the last one.
 //!
-//! The classic stop-and-copy drivers in [`crate::driver`] freeze the
+//! The classic stop-and-copy routes of [`crate::migrate`] freeze the
 //! source for the *entire* collect → ship → restore pipeline. Pre-copy
 //! shrinks the freeze window: round 0 ships a full image while keeping
 //! the logical clock running, then each later round resumes the program
@@ -24,7 +24,7 @@
 //! Frames travel either over a plain modeled channel or chunked through
 //! the ARQ stack over a faulty link ([`run_migrating_precopy_faulty`]),
 //! so the pre-copy protocol composes with the same loss/corruption
-//! recovery the resilient driver uses.
+//! recovery [`crate::Route::Resilient`] uses.
 
 use std::time::{Duration, Instant};
 
@@ -32,7 +32,6 @@ use hpm_arch::Architecture;
 use hpm_core::delta::{
     apply_delta, block_digests, collect_delta, diff_manifest, full_image_frame, BaseImageManifest,
 };
-use hpm_core::image::unframe_image;
 use hpm_core::CoreError;
 use hpm_net::{
     channel_pair, ArqConfig, FaultPlan, FaultStats, FaultyEndpoint, NetError, NetworkModel,
@@ -40,9 +39,11 @@ use hpm_net::{
 };
 use hpm_xdr::journal::image_id;
 
-use crate::ctx::{Flow, MigCtx, MigratableProgram};
-use crate::driver::{resume_from_image, run_to_migration, MigratedSource, WIRE_CHUNK_BYTES};
-use crate::exec::ExecutionState;
+use crate::ctx::MigratableProgram;
+use crate::driver::{
+    open_destination, resume_from_image, run_to_migration, Dst, MigratedSource, Opened,
+    WIRE_CHUNK_BYTES,
+};
 use crate::process::{Process, Trigger};
 use crate::MigError;
 
@@ -70,34 +71,14 @@ pub fn resume_to_migration<P: MigratableProgram>(
     image: &[u8],
     trigger: Trigger,
 ) -> Result<ResumeFlow, MigError> {
-    let (header, exec_bytes, payload) = unframe_image(image)?;
-    if header.program != program.name() {
-        return Err(MigError::Protocol(format!(
-            "image is for program '{}', not '{}'",
-            header.program,
-            program.name()
-        )));
-    }
-    let exec = ExecutionState::decode(&exec_bytes)?;
-    let mut proc = Process::new(program.name(), arch);
-    proc.space.reserve_heap_bytes(header.registered_bytes);
-    proc.set_trigger(trigger);
-    program.setup(&mut proc)?;
-    proc.msrlt.reset_stats();
-    let mut ctx = MigCtx::new_resume(&mut proc, exec, payload);
-    match program.run(&mut ctx)? {
-        Flow::Done => {
-            ctx.restore_totals().ok_or_else(|| {
-                MigError::Protocol("program finished without restoring all frames".into())
-            })?;
-            let results = program.results(&mut proc)?;
-            Ok(ResumeFlow::Completed(results, proc))
-        }
-        Flow::Migrate => {
-            let pending = ctx.into_pending_frames()?;
-            Ok(ResumeFlow::Frozen(MigratedSource { proc, pending }))
-        }
-    }
+    let dst = Dst {
+        trigger: Some(trigger),
+        ..Dst::default()
+    };
+    Ok(match open_destination(program, arch, image, dst)? {
+        Opened::Completed(r) => ResumeFlow::Completed(r.results, r.proc),
+        Opened::Frozen(src) => ResumeFlow::Frozen(src),
+    })
 }
 
 /// Tuning knobs for a pre-copy migration.

@@ -8,7 +8,7 @@
 
 use crate::MigError;
 use hpm_arch::Architecture;
-use hpm_core::Msrlt;
+use hpm_core::{ImageHeader, Msrlt, IMAGE_VERSION};
 use hpm_memory::{AddressSpace, BlockInfo, FrameId};
 use hpm_types::TypeId;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -65,6 +65,17 @@ impl Process {
     /// Install the migration trigger.
     pub fn set_trigger(&mut self, t: Trigger) {
         self.trigger = t;
+    }
+
+    /// The migration-image header for this process, frozen.
+    pub(crate) fn image_header(&self) -> ImageHeader {
+        ImageHeader {
+            version: IMAGE_VERSION,
+            source_arch: self.space.arch().name.to_string(),
+            source_pointer_size: self.space.arch().pointer_size as u32,
+            program: self.program.clone(),
+            registered_bytes: self.msrlt.registered_bytes(),
+        }
     }
 
     /// Number of poll-point executions so far (§4.3 instrumentation).

@@ -16,13 +16,12 @@
 //! component of network process migration" from which schedulers can be
 //! composed.
 
-use crate::ctx::{collect_pending, MigCtx, MigratableProgram};
-use crate::exec::ExecutionState;
+use crate::ctx::{MigCtx, MigratableProgram};
+use crate::driver::MigratedSource;
+use crate::precopy::{resume_to_migration, ResumeFlow};
 use crate::process::{Process, Trigger};
 use crate::{Flow, MigError};
 use hpm_arch::Architecture;
-use hpm_core::image::{frame_image, unframe_image, ImageHeader};
-use hpm_core::IMAGE_VERSION;
 use hpm_net::NetworkModel;
 use hpm_obs::{StatField, StatGroup, Tracer};
 use std::time::Duration;
@@ -177,72 +176,45 @@ impl Scheduler {
         });
     }
 
-    /// Run one slice of one job on machine `arch`, advancing its state.
+    /// Run one slice of one job on machine `arch`, advancing its state:
+    /// a fresh job starts, a suspended one resumes from its checkpoint,
+    /// and either finishes or is checkpointed again after `quantum` polls.
     fn run_slice(arch: &Architecture, quantum: u64, job: &mut Job) -> Result<(), MigError> {
         job.slices += 1;
-        match std::mem::replace(&mut job.state, JobState::Fresh) {
+        let trigger = Trigger::AtLeastPollCount(quantum);
+        let mut prog = (job.factory)();
+        let flow = match std::mem::replace(&mut job.state, JobState::Fresh) {
             JobState::Finished(r) => {
                 job.state = JobState::Finished(r);
-                Ok(())
+                return Ok(());
             }
             JobState::Fresh => {
-                let mut prog = (job.factory)();
                 let mut proc = Process::new(prog.name(), arch.clone());
-                proc.set_trigger(Trigger::AtLeastPollCount(quantum));
+                proc.set_trigger(trigger);
                 prog.setup(&mut proc)?;
                 let mut ctx = MigCtx::new_run(&mut proc);
                 match prog.run(&mut ctx)? {
-                    Flow::Done => {
-                        let r = prog.results(&mut proc)?;
-                        job.state = JobState::Finished(r);
-                    }
-                    Flow::Migrate => {
-                        let image = Self::checkpoint(ctx)?;
-                        job.bytes_moved += image.len() as u64;
-                        job.state = JobState::Suspended(image);
-                    }
+                    Flow::Migrate => ResumeFlow::Frozen(MigratedSource {
+                        pending: ctx.into_pending_frames()?,
+                        proc,
+                    }),
+                    Flow::Done => ResumeFlow::Completed(prog.results(&mut proc)?, proc),
                 }
-                Ok(())
             }
             JobState::Suspended(image) => {
-                let mut prog = (job.factory)();
-                let (header, exec_bytes, payload) = unframe_image(&image)?;
-                if header.program != prog.name() {
-                    return Err(MigError::Protocol("job image/program mismatch".into()));
-                }
-                let exec = ExecutionState::decode(&exec_bytes)?;
-                let mut proc = Process::new(prog.name(), arch.clone());
-                proc.space.reserve_heap_bytes(header.registered_bytes);
-                proc.set_trigger(Trigger::AtLeastPollCount(quantum));
-                prog.setup(&mut proc)?;
-                let mut ctx = MigCtx::new_resume(&mut proc, exec, payload);
-                match prog.run(&mut ctx)? {
-                    Flow::Done => {
-                        let r = prog.results(&mut proc)?;
-                        job.state = JobState::Finished(r);
-                    }
-                    Flow::Migrate => {
-                        let image = Self::checkpoint(ctx)?;
-                        job.bytes_moved += image.len() as u64;
-                        job.state = JobState::Suspended(image);
-                    }
-                }
-                Ok(())
+                resume_to_migration(&mut prog, arch.clone(), &image, trigger)?
+            }
+        };
+        match flow {
+            ResumeFlow::Completed(r, _) => job.state = JobState::Finished(r),
+            // Preempt by migrating to nowhere: the image is the checkpoint.
+            ResumeFlow::Frozen(mut src) => {
+                let image = src.to_image()?;
+                job.bytes_moved += image.len() as u64;
+                job.state = JobState::Suspended(image);
             }
         }
-    }
-
-    fn checkpoint(ctx: MigCtx<'_>) -> Result<Vec<u8>, MigError> {
-        let (proc, pending) = ctx.into_parts()?;
-        let (payload, exec, _) = collect_pending(proc, &pending)?;
-        let header = ImageHeader {
-            version: IMAGE_VERSION,
-            source_arch: proc.space.arch().name.to_string(),
-            source_pointer_size: proc.space.arch().pointer_size as u32,
-            program: proc.program().to_string(),
-            registered_bytes: proc.msrlt.registered_bytes(),
-        };
-        Ok(frame_image(&header, &exec.encode(), &payload))
+        Ok(())
     }
 
     /// One scheduling epoch: every machine runs one slice of each of its
@@ -489,5 +461,53 @@ mod tests {
         let r = s.results();
         assert_eq!(r.len(), 1, "job must finish");
         assert_eq!(r[0].1[0].1, "500");
+    }
+
+    /// Ignores its resume point: a resumed slice recounts from zero
+    /// without restoring the checkpointed frame, then reports done.
+    struct Amnesiac {
+        limit: i64,
+    }
+
+    impl MigratableProgram for Amnesiac {
+        fn name(&self) -> &'static str {
+            "amnesiac"
+        }
+        fn setup(&mut self, proc: &mut Process) -> Result<(), MigError> {
+            let int = proc.space.types_mut().int();
+            proc.define_global("acc", int, 1)?;
+            Ok(())
+        }
+        fn run(&mut self, ctx: &mut MigCtx<'_>) -> Result<Flow, MigError> {
+            let int = ctx.proc().space.types_mut().int();
+            let acc = ctx.proc().space.block_infos()[0].addr;
+            let f = ctx.enter("main")?;
+            let i = ctx.local(f, "i", int, 1)?;
+            for iv in 0..self.limit {
+                ctx.proc().space.store_int(i, iv)?;
+                if ctx.poll() {
+                    ctx.save_frame(1, &[i, acc])?;
+                    return Ok(Flow::Migrate);
+                }
+            }
+            ctx.leave(f)?;
+            Ok(Flow::Done)
+        }
+        fn results(&self, _proc: &mut Process) -> Result<Vec<(String, String)>, MigError> {
+            Ok(vec![("count".into(), self.limit.to_string())])
+        }
+    }
+
+    #[test]
+    fn a_job_that_never_restores_its_frames_is_refused() {
+        let mut s = Scheduler::new(100, NetworkModel::instant());
+        let m = s.add_machine("m0", Architecture::dec5000());
+        s.submit(m, "amnesiac", || Box::new(Amnesiac { limit: 450 }));
+        let err = s.run_to_completion(50).unwrap_err();
+        assert!(
+            matches!(&err, MigError::Protocol(m) if m.contains("without restoring all frames")),
+            "{err:?}"
+        );
+        assert!(s.results().is_empty(), "no answer may be reported");
     }
 }

@@ -1,7 +1,7 @@
 //! Chunked-stream endpoints over a [`Channel`].
 //!
 //! The pipelined migration path ships the memory-state payload as a
-//! sequence of framed chunks (see [`hpm_xdr::frame_chunk`]) so the
+//! sequence of framed chunks (see [`hpm_xdr::frame_chunk_v2`]) so the
 //! destination can start restoring while the source is still collecting.
 //! [`ChunkSender`] frames and sends; [`ChunkReceiver`] unframes, checks
 //! sequence numbers, and latches end-of-stream at the LAST flag.
@@ -227,13 +227,13 @@ impl ChunkReceiver {
                 "crc.fail",
                 &[
                     ("chunk", parsed.seq as u64),
-                    ("expected_crc", parsed.crc.unwrap_or(0) as u64),
+                    ("expected_crc", parsed.crc as u64),
                     ("found_crc", found as u64),
                 ],
             );
             return Err(NetError::Corrupt {
                 chunk: parsed.seq,
-                expected_crc: parsed.crc.unwrap_or(0),
+                expected_crc: parsed.crc,
                 found_crc: found,
             });
         }
@@ -304,7 +304,7 @@ mod tests {
     #[test]
     fn last_frame_with_payload_is_delivered_then_done() {
         let (a, b) = channel_pair(NetworkModel::instant());
-        a.send(hpm_xdr::frame_chunk(0, true, &[9, 9, 9, 9]))
+        a.send(hpm_xdr::frame_chunk_v2(0, true, &[9, 9, 9, 9]))
             .unwrap();
         let mut rx = ChunkReceiver::new(b);
         assert_eq!(rx.recv_chunk().unwrap(), Some(vec![9, 9, 9, 9]));
@@ -315,7 +315,7 @@ mod tests {
     #[test]
     fn sequence_gap_is_rejected() {
         let (a, b) = channel_pair(NetworkModel::instant());
-        a.send(hpm_xdr::frame_chunk(1, false, &[0, 0, 0, 0]))
+        a.send(hpm_xdr::frame_chunk_v2(1, false, &[0, 0, 0, 0]))
             .unwrap();
         let mut rx = ChunkReceiver::new(b);
         match rx.recv_chunk() {
@@ -391,14 +391,44 @@ mod tests {
     }
 
     #[test]
-    fn v1_frames_still_decode_without_crc() {
+    fn hand_framed_chunks_decode_in_sequence() {
         let (a, b) = channel_pair(NetworkModel::instant());
-        a.send(hpm_xdr::frame_chunk(0, false, &[1, 2, 3, 4]))
+        a.send(hpm_xdr::frame_chunk_v2(0, false, &[1, 2, 3, 4]))
             .unwrap();
-        a.send(hpm_xdr::frame_chunk(1, true, &[])).unwrap();
+        a.send(hpm_xdr::frame_chunk_v2(1, true, &[])).unwrap();
         let mut rx = ChunkReceiver::new(b);
         assert_eq!(rx.recv_chunk().unwrap(), Some(vec![1, 2, 3, 4]));
         assert_eq!(rx.recv_chunk().unwrap(), None);
+    }
+
+    /// The retired v1 layout ("HPMC") carried no CRC; no decoder may
+    /// accept it, or a frame would bypass the integrity check.
+    #[test]
+    fn v1_magic_is_rejected_by_every_decoder() {
+        let mut enc = hpm_xdr::XdrEncoder::with_capacity(20);
+        enc.put_u32(0x4850_4D43);
+        enc.put_u32(0);
+        enc.put_u32(hpm_xdr::CHUNK_FLAG_LAST);
+        enc.put_opaque_var(&[1, 2, 3, 4]);
+        let v1 = enc.into_bytes();
+        assert!(hpm_xdr::unframe_chunk_any(&v1).is_err());
+
+        let (a, b) = channel_pair(NetworkModel::instant());
+        a.send(v1.clone()).unwrap();
+        let err = ChunkReceiver::new(b).recv_chunk().unwrap_err();
+        assert!(
+            matches!(err, NetError::ChunkFraming { chunk: 0, .. }),
+            "{err:?}"
+        );
+
+        let (a, b) = channel_pair(NetworkModel::instant());
+        a.send(v1).unwrap();
+        let mut rx = crate::ReliableChunkReceiver::new(b, crate::ArqConfig::default());
+        let err = rx.recv_chunk().unwrap_err();
+        assert!(
+            matches!(err, NetError::ChunkFraming { chunk: 0, .. }),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   `scheduler.slice`, …) with monotonic timestamps into a **bounded**
 //!   in-memory ring buffer. A disabled tracer costs a single branch per
 //!   event site, so instrumentation can stay in release hot paths.
-//! * [`metrics`] — a registry of named counters/gauges/histograms with
-//!   `O(1)` atomic hot-path updates and a snapshot/merge API.
+//! * [`metrics`] — a log2-bucketed [`Histogram`] with `O(1)` atomic
+//!   updates and mergeable [`HistogramSnapshot`] percentiles.
 //! * [`stats`] — the [`StatGroup`] snapshot/merge trait that the stack's
 //!   phase-stats structs (`CollectStats`, `RestoreStats`, `MsrltStats`,
 //!   `TransferStats`, `SchedStats`) implement, plus one shared text
@@ -26,6 +26,8 @@
 //!   structured protocol events per component track (chunk sent/acked/
 //!   nacked/retried, CRC failures, fault injections, phase transitions),
 //!   dumpable as deterministic JSONL for post-mortems of failed runs.
+//! * [`Obs`] — the one handle a migration takes: a tracer plus a flight
+//!   recorder.
 //!
 //! ## Event volume and bounded memory
 //!
@@ -43,9 +45,28 @@ pub mod stats;
 pub mod trace;
 
 pub use export::{chrome_trace_json, jsonl, summary};
-pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, MetricsRegistry, MetricsSnapshot,
-};
+pub use metrics::{Histogram, HistogramSnapshot};
 pub use recorder::{FlightDump, FlightEvent, FlightRecorder, FlightTrack};
 pub use stats::{render_groups, snapshot, StatField, StatGroup, StatValue, TranslateStats};
 pub use trace::{EventKind, Span, TraceEvent, TraceLog, Tracer};
+
+/// Everything a migration reports through besides its return value: the
+/// span tracer and the flight recorder, passed as one handle.
+#[derive(Clone)]
+pub struct Obs {
+    /// Phase spans; attached to the report as a [`TraceLog`] when enabled.
+    pub tracer: Tracer,
+    /// Per-component protocol events, dumped when a run fails.
+    pub recorder: FlightRecorder,
+}
+
+impl Default for Obs {
+    /// A disabled tracer and a live recorder: untraced, but a failing run
+    /// still explains itself.
+    fn default() -> Self {
+        Obs {
+            tracer: Tracer::disabled(),
+            recorder: FlightRecorder::new(),
+        }
+    }
+}

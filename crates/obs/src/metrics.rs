@@ -1,24 +1,16 @@
-//! A registry of named counters, gauges, and histograms.
+//! A log2-bucketed histogram for latency and size distributions.
 //!
-//! Handles are `Arc`-backed atomics: registering returns a handle whose
-//! hot-path update is a single atomic RMW (`O(1)`, no locks, no
-//! allocation). The registry itself is only locked when registering or
-//! snapshotting — never on the update path — so instrumented code can
-//! run inside migration hot loops.
+//! A [`Histogram`] handle is `Arc`-backed atomics: every observation is a
+//! few relaxed atomic RMWs (`O(1)`, no locks, no allocation), so it can
+//! sit inside migration hot loops. [`Histogram::snapshot`] copies it into
+//! a mergeable [`HistogramSnapshot`] with percentile estimates.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Number of log2 buckets in a [`Histogram`]: values `0, 1, 2-3, 4-7, …`
 /// up to `2^62..`, which covers nanosecond timings and byte sizes alike.
 pub const HISTOGRAM_BUCKETS: usize = 64;
-
-#[derive(Default)]
-struct CounterCell(AtomicU64);
-
-#[derive(Default)]
-struct GaugeCell(AtomicI64);
 
 struct HistogramCell {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
@@ -38,52 +30,6 @@ impl Default for HistogramCell {
     }
 }
 
-/// Monotonically increasing counter handle.
-#[derive(Clone)]
-pub struct Counter(Arc<CounterCell>);
-
-impl Counter {
-    /// Add one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Add `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0 .0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0 .0.load(Ordering::Relaxed)
-    }
-}
-
-/// Signed point-in-time gauge handle.
-#[derive(Clone)]
-pub struct Gauge(Arc<GaugeCell>);
-
-impl Gauge {
-    /// Set to an absolute value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0 .0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adjust by a delta (may be negative).
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        self.0 .0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.0 .0.load(Ordering::Relaxed)
-    }
-}
-
 /// Log2-bucketed histogram handle (counts + sum, so mean is exact).
 #[derive(Clone, Default)]
 pub struct Histogram(Arc<HistogramCell>);
@@ -99,9 +45,8 @@ impl std::fmt::Debug for Histogram {
 }
 
 impl Histogram {
-    /// A standalone histogram, unattached to any registry. Useful for
-    /// per-transfer latency tracking where the handle is threaded through
-    /// a component directly instead of looked up by name.
+    /// A fresh, empty histogram. The handle is threaded through a
+    /// component directly (e.g. per-transfer latency tracking).
     pub fn new() -> Self {
         Self::default()
     }
@@ -263,357 +208,28 @@ impl HistogramSnapshot {
     }
 }
 
-enum Metric {
-    Counter(Arc<CounterCell>),
-    Gauge(Arc<GaugeCell>),
-    Histogram(Arc<HistogramCell>),
-}
-
-/// A snapshotted metric value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MetricValue {
-    /// Counter total.
-    Counter(u64),
-    /// Gauge level.
-    Gauge(i64),
-    /// Histogram `(count, sum, non-empty log2 buckets as (index, count))`.
-    Histogram {
-        /// Number of observations.
-        count: u64,
-        /// Sum of observations.
-        sum: u64,
-        /// Sparse `(bucket_index, count)` pairs for non-empty buckets.
-        buckets: Vec<(usize, u64)>,
-    },
-}
-
-/// Point-in-time copy of every metric in a registry.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Name → value, sorted by name.
-    pub entries: BTreeMap<String, MetricValue>,
-}
-
-impl MetricsSnapshot {
-    /// Accumulate another snapshot: counters/histograms add, gauges take
-    /// the other side's value (latest wins), unknown names are inserted.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for (name, v) in &other.entries {
-            match (self.entries.get_mut(name), v) {
-                (Some(MetricValue::Counter(a)), MetricValue::Counter(b)) => *a += b,
-                (Some(MetricValue::Gauge(a)), MetricValue::Gauge(b)) => *a = *b,
-                (
-                    Some(MetricValue::Histogram {
-                        count,
-                        sum,
-                        buckets,
-                    }),
-                    MetricValue::Histogram {
-                        count: c2,
-                        sum: s2,
-                        buckets: b2,
-                    },
-                ) => {
-                    *count += c2;
-                    *sum += s2;
-                    let mut merged: BTreeMap<usize, u64> = buckets.iter().copied().collect();
-                    for &(i, n) in b2 {
-                        *merged.entry(i).or_insert(0) += n;
-                    }
-                    *buckets = merged.into_iter().collect();
-                }
-                _ => {
-                    self.entries.insert(name.clone(), v.clone());
-                }
-            }
-        }
-    }
-
-    /// Render as an aligned `name  value` table (histograms show
-    /// `count/sum/mean`).
-    pub fn render(&self) -> String {
-        let rows: Vec<(String, String)> = self
-            .entries
-            .iter()
-            .map(|(name, v)| {
-                let val = match v {
-                    MetricValue::Counter(c) => c.to_string(),
-                    MetricValue::Gauge(g) => g.to_string(),
-                    MetricValue::Histogram { count, sum, .. } => {
-                        let mean = if *count == 0 {
-                            0.0
-                        } else {
-                            *sum as f64 / *count as f64
-                        };
-                        format!("n={count} sum={sum} mean={mean:.1}")
-                    }
-                };
-                (name.clone(), val)
-            })
-            .collect();
-        let w = rows.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
-        let mut out = String::new();
-        for (k, v) in rows {
-            out.push_str(&format!("{k:<w$}  {v}\n"));
-        }
-        out
-    }
-
-    /// Render as JSON Lines, one object per metric, sorted by name (the
-    /// backing map is ordered), so two snapshots of identical state
-    /// produce byte-identical output.
-    pub fn jsonl(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in &self.entries {
-            let esc: String = name
-                .chars()
-                .flat_map(|c| match c {
-                    '"' => vec!['\\', '"'],
-                    '\\' => vec!['\\', '\\'],
-                    c => vec![c],
-                })
-                .collect();
-            match v {
-                MetricValue::Counter(c) => {
-                    out.push_str(&format!(
-                        "{{\"metric\":\"{esc}\",\"kind\":\"counter\",\"value\":{c}}}\n"
-                    ));
-                }
-                MetricValue::Gauge(g) => {
-                    out.push_str(&format!(
-                        "{{\"metric\":\"{esc}\",\"kind\":\"gauge\",\"value\":{g}}}\n"
-                    ));
-                }
-                MetricValue::Histogram {
-                    count,
-                    sum,
-                    buckets,
-                } => {
-                    let b: Vec<String> =
-                        buckets.iter().map(|(i, n)| format!("[{i},{n}]")).collect();
-                    out.push_str(&format!(
-                        "{{\"metric\":\"{esc}\",\"kind\":\"histogram\",\"count\":{count},\
-                         \"sum\":{sum},\"buckets\":[{}]}}\n",
-                        b.join(",")
-                    ));
-                }
-            }
-        }
-        out
-    }
-}
-
-/// Registry of named metrics. Cheap to clone (shared interior).
-#[derive(Clone, Default)]
-pub struct MetricsRegistry {
-    metrics: Arc<Mutex<BTreeMap<String, Metric>>>,
-}
-
-impl MetricsRegistry {
-    /// Fresh, empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Get-or-create a counter. Re-registering a name returns a handle to
-    /// the same underlying cell.
-    ///
-    /// # Panics
-    /// If `name` is already registered as a different metric kind.
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut m = self.metrics.lock().unwrap();
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Arc::new(CounterCell::default())))
-        {
-            Metric::Counter(c) => Counter(Arc::clone(c)),
-            _ => panic!("metric {name:?} already registered with a different kind"),
-        }
-    }
-
-    /// Get-or-create a gauge.
-    ///
-    /// # Panics
-    /// If `name` is already registered as a different metric kind.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut m = self.metrics.lock().unwrap();
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Arc::new(GaugeCell::default())))
-        {
-            Metric::Gauge(g) => Gauge(Arc::clone(g)),
-            _ => panic!("metric {name:?} already registered with a different kind"),
-        }
-    }
-
-    /// Get-or-create a histogram.
-    ///
-    /// # Panics
-    /// If `name` is already registered as a different metric kind.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        let mut m = self.metrics.lock().unwrap();
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Arc::new(HistogramCell::default())))
-        {
-            Metric::Histogram(h) => Histogram(Arc::clone(h)),
-            _ => panic!("metric {name:?} already registered with a different kind"),
-        }
-    }
-
-    /// Copy every metric's current value.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let m = self.metrics.lock().unwrap();
-        let entries = m
-            .iter()
-            .map(|(name, metric)| {
-                let v = match metric {
-                    Metric::Counter(c) => MetricValue::Counter(c.0.load(Ordering::Relaxed)),
-                    Metric::Gauge(g) => MetricValue::Gauge(g.0.load(Ordering::Relaxed)),
-                    Metric::Histogram(h) => MetricValue::Histogram {
-                        count: h.count.load(Ordering::Relaxed),
-                        sum: h.sum.load(Ordering::Relaxed),
-                        buckets: h
-                            .buckets
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(i, b)| {
-                                let n = b.load(Ordering::Relaxed);
-                                (n != 0).then_some((i, n))
-                            })
-                            .collect(),
-                    },
-                };
-                (name.clone(), v)
-            })
-            .collect();
-        MetricsSnapshot { entries }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn counter_handles_share_a_cell() {
-        let reg = MetricsRegistry::new();
-        let a = reg.counter("blocks");
-        let b = reg.counter("blocks");
-        a.inc();
-        b.add(9);
-        assert_eq!(a.get(), 10);
-        match reg.snapshot().entries.get("blocks") {
-            Some(MetricValue::Counter(10)) => {}
-            other => panic!("unexpected snapshot: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn gauge_set_and_delta() {
-        let reg = MetricsRegistry::new();
-        let g = reg.gauge("depth");
-        g.set(5);
-        g.add(-2);
-        assert_eq!(g.get(), 3);
-    }
-
-    #[test]
     fn histogram_buckets_and_mean() {
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("search_steps");
+        let h = Histogram::new();
         for v in [0, 1, 2, 3, 4, 1000] {
             h.observe(v);
         }
         assert_eq!(h.count(), 6);
         assert_eq!(h.sum(), 1010);
-        match reg.snapshot().entries.get("search_steps") {
-            Some(MetricValue::Histogram {
-                count: 6,
-                sum: 1010,
-                buckets,
-            }) => {
-                // 0 -> bucket 0; 1 -> 1; 2,3 -> 2; 4 -> 3; 1000 -> 10.
-                assert_eq!(buckets, &vec![(0, 1), (1, 1), (2, 2), (3, 1), (10, 1)]);
-            }
-            other => panic!("unexpected snapshot: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn snapshot_merge_adds_counters_and_histograms() {
-        let reg1 = MetricsRegistry::new();
-        reg1.counter("c").add(3);
-        reg1.histogram("h").observe(4);
-        reg1.gauge("g").set(1);
-        let reg2 = MetricsRegistry::new();
-        reg2.counter("c").add(7);
-        reg2.histogram("h").observe(4);
-        reg2.gauge("g").set(42);
-        reg2.counter("only2").add(1);
-
-        let mut snap = reg1.snapshot();
-        snap.merge(&reg2.snapshot());
-        assert_eq!(snap.entries.get("c"), Some(&MetricValue::Counter(10)));
-        assert_eq!(snap.entries.get("g"), Some(&MetricValue::Gauge(42)));
-        assert_eq!(snap.entries.get("only2"), Some(&MetricValue::Counter(1)));
-        match snap.entries.get("h") {
-            Some(MetricValue::Histogram {
-                count: 2,
-                sum: 8,
-                buckets,
-            }) => {
-                assert_eq!(buckets, &vec![(3, 2)]);
-            }
-            other => panic!("unexpected merged histogram: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn updates_race_free_across_threads() {
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("n");
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let c = c.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        c.inc();
-                    }
-                })
-            })
+        let snap = h.snapshot();
+        let buckets: Vec<(usize, u64)> = snap
+            .buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, &n)| n != 0)
+            .map(|(i, &n)| (i, n))
             .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(c.get(), 4000);
-    }
-
-    #[test]
-    fn render_is_aligned_and_sorted() {
-        let reg = MetricsRegistry::new();
-        reg.counter("zz").add(1);
-        reg.counter("a").add(2);
-        let text = reg.snapshot().render();
-        let lines: Vec<&str> = text.lines().collect();
-        assert!(lines[0].starts_with("a "));
-        assert!(lines[1].starts_with("zz"));
-    }
-
-    #[test]
-    fn jsonl_is_sorted_and_stable() {
-        let reg = MetricsRegistry::new();
-        reg.counter("zz").add(1);
-        reg.histogram("h").observe(5);
-        reg.gauge("a").set(-3);
-        let a = reg.snapshot().jsonl();
-        let b = reg.snapshot().jsonl();
-        assert_eq!(a, b, "snapshots of identical state must be byte-stable");
-        let lines: Vec<&str> = a.lines().collect();
-        assert!(lines[0].contains("\"metric\":\"a\""));
-        assert!(lines[1].contains("\"metric\":\"h\""));
-        assert!(lines[2].contains("\"metric\":\"zz\""));
-        assert!(lines[1].contains("\"kind\":\"histogram\""));
+        // 0 -> bucket 0; 1 -> 1; 2,3 -> 2; 4 -> 3; 1000 -> 10.
+        assert_eq!(buckets, vec![(0, 1), (1, 1), (2, 2), (3, 1), (10, 1)]);
     }
 
     #[test]

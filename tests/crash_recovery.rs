@@ -12,8 +12,8 @@
 
 use hpm::arch::Architecture;
 use hpm::migrate::{
-    run_migrating_resilient, run_straight, run_to_migration, FallbackPolicy, MigratableProgram,
-    PipelineConfig, RecoveryPolicy, RecoveryStats, ResumeStats, Rung2Skip, Trigger,
+    migrate, run_straight, run_to_migration, FallbackPolicy, MigratableProgram, Obs,
+    PipelineConfig, RecoveryPolicy, RecoveryStats, ResumeStats, Route, Rung2Skip, Trigger,
 };
 use hpm::net::{
     channel_pair, ArqConfig, FaultPlan, NetError, NetworkModel, ReliableChunkReceiver,
@@ -54,15 +54,18 @@ fn run_one<P: MigratableProgram + Send>(
     plan: FaultPlan,
     cfg: PipelineConfig,
 ) -> (Vec<(String, String)>, RecoveryStats, ResumeStats) {
-    let run = run_migrating_resilient(
+    let run = migrate(
         make,
         src,
         dst,
         NetworkModel::ethernet_10(),
         Trigger::AtPollCount(trigger),
-        cfg,
-        plan,
-        soak_policy(),
+        Route::Resilient {
+            config: cfg,
+            faults: plan,
+            policy: soak_policy(),
+        },
+        &Obs::default(),
     )
     .unwrap_or_else(|e| panic!("seed {:#x}: driver failed: {e}", plan.seed));
     let recovery = run.report.recovery.expect("resilient runs carry stats");
@@ -258,15 +261,18 @@ fn destination_crash_resumes_without_rereceiving_verified_chunks() {
     };
     let mut p = Linpack::truncated(120, 4);
     let (expect, _) = run_straight(&mut p, Architecture::ultra5()).unwrap();
-    let run = run_migrating_resilient(
+    let run = migrate(
         || Linpack::truncated(120, 4),
         Architecture::ultra5(),
         Architecture::dec5000(),
         NetworkModel::ethernet_10(),
         Trigger::AtPollCount(2),
-        soak_cfg(),
-        plan,
-        soak_policy(),
+        Route::Resilient {
+            config: soak_cfg(),
+            faults: plan,
+            policy: soak_policy(),
+        },
+        &Obs::default(),
     )
     .unwrap();
     assert!(diff_results(&expect, &run.results).is_none());
@@ -301,15 +307,18 @@ fn tampered_journal_digest_falls_back_to_rung_3() {
     };
     let mut p = TestPointer::new();
     let (expect, _) = run_straight(&mut p, Architecture::dec5000()).unwrap();
-    let run = run_migrating_resilient(
+    let run = migrate(
         TestPointer::new,
         Architecture::dec5000(),
         Architecture::sparc20(),
         NetworkModel::ethernet_10(),
         Trigger::AtPollCount(8),
-        soak_cfg(),
-        plan,
-        soak_policy(),
+        Route::Resilient {
+            config: soak_cfg(),
+            faults: plan,
+            policy: soak_policy(),
+        },
+        &Obs::default(),
     )
     .unwrap();
     assert!(diff_results(&expect, &run.results).is_none());
@@ -334,15 +343,18 @@ fn source_crash_skips_rung_2_with_a_reason() {
     };
     let mut p = TestPointer::new();
     let (expect, _) = run_straight(&mut p, Architecture::dec5000()).unwrap();
-    let run = run_migrating_resilient(
+    let run = migrate(
         TestPointer::new,
         Architecture::dec5000(),
         Architecture::sparc20(),
         NetworkModel::ethernet_10(),
         Trigger::AtPollCount(8),
-        soak_cfg(),
-        plan,
-        soak_policy(),
+        Route::Resilient {
+            config: soak_cfg(),
+            faults: plan,
+            policy: soak_policy(),
+        },
+        &Obs::default(),
     )
     .unwrap();
     assert!(diff_results(&expect, &run.results).is_none());

@@ -10,8 +10,8 @@
 
 use hpm::arch::Architecture;
 use hpm::migrate::{
-    run_migrating_pipelined, run_migrating_resilient, run_straight, FallbackPolicy,
-    MigratableProgram, PipelineConfig, RecoveryPolicy, RecoveryStats, Trigger,
+    migrate, run_straight, FallbackPolicy, MigratableProgram, Obs, PipelineConfig, RecoveryPolicy,
+    RecoveryStats, Route, Trigger,
 };
 use hpm::net::{FaultPlan, NetworkModel};
 use hpm::workloads::{diff_results, BitonicSort, Linpack, TestPointer};
@@ -47,15 +47,18 @@ fn run_one<P: MigratableProgram + Send>(
     plan: FaultPlan,
     cfg: PipelineConfig,
 ) -> (Vec<(String, String)>, RecoveryStats) {
-    let run = run_migrating_resilient(
+    let run = migrate(
         make,
         src,
         dst,
         NetworkModel::ethernet_10(),
         Trigger::AtPollCount(trigger),
-        cfg,
-        plan,
-        soak_policy(),
+        Route::Resilient {
+            config: cfg,
+            faults: plan,
+            policy: soak_policy(),
+        },
+        &Obs::default(),
     )
     .unwrap_or_else(|e| panic!("seed {:#x}: driver failed: {e}", plan.seed));
     let stats = run.report.recovery.expect("resilient runs carry stats");
@@ -221,24 +224,28 @@ fn soak_bitonic_compressed() {
 /// actions beyond routine acknowledgements.
 #[test]
 fn zero_fault_resilient_run_matches_pipelined() {
-    let pipelined = run_migrating_pipelined(
+    let pipelined = migrate(
         TestPointer::new,
         Architecture::dec5000(),
         Architecture::sparc20(),
         NetworkModel::ethernet_10(),
         Trigger::AtPollCount(8),
-        soak_cfg(),
+        Route::Pipelined(soak_cfg()),
+        &Obs::default(),
     )
     .unwrap();
-    let resilient = run_migrating_resilient(
+    let resilient = migrate(
         TestPointer::new,
         Architecture::dec5000(),
         Architecture::sparc20(),
         NetworkModel::ethernet_10(),
         Trigger::AtPollCount(8),
-        soak_cfg(),
-        FaultPlan::none(),
-        soak_policy(),
+        Route::Resilient {
+            config: soak_cfg(),
+            faults: FaultPlan::none(),
+            policy: soak_policy(),
+        },
+        &Obs::default(),
     )
     .unwrap();
     assert_eq!(resilient.results, pipelined.results);

@@ -4,9 +4,7 @@
 //! binary because environment variables are process-global.
 
 use hpm_arch::Architecture;
-use hpm_migrate::{
-    run_migrating_resilient, FallbackPolicy, PipelineConfig, RecoveryPolicy, Trigger,
-};
+use hpm_migrate::{migrate, FallbackPolicy, Obs, PipelineConfig, RecoveryPolicy, Route, Trigger};
 use hpm_net::{FaultPlan, NetworkModel};
 use hpm_workloads::TestPointer;
 use std::time::Duration;
@@ -18,36 +16,39 @@ fn driver_error_writes_the_dump_where_ci_expects_it() {
     let _ = std::fs::remove_file(&path);
     std::env::set_var("HPM_FLIGHT_DUMP", &path);
 
-    let err = run_migrating_resilient(
+    let err = migrate(
         TestPointer::new,
         Architecture::dec5000(),
         Architecture::sparc20(),
         NetworkModel::ethernet_10(),
         Trigger::AtPollCount(8),
-        PipelineConfig {
-            chunk_bytes: 65536,
-            pace: false,
-            pace_scale: 0.0,
-            ..PipelineConfig::default()
+        Route::Resilient {
+            config: PipelineConfig {
+                chunk_bytes: 65536,
+                pace: false,
+                pace_scale: 0.0,
+                ..PipelineConfig::default()
+            },
+            faults: FaultPlan {
+                seed: 0xDEAD11,
+                drop_per_mille: 0,
+                corrupt_per_mille: 0,
+                duplicate_per_mille: 0,
+                reorder_per_mille: 0,
+                delay_per_mille: 0,
+                disconnect_at: Some(1),
+                ..FaultPlan::none()
+            },
+            policy: RecoveryPolicy {
+                max_retries: 3,
+                backoff: Duration::from_millis(1),
+                fallback: FallbackPolicy::Fail,
+                // The point of this test is the rung-3 dump, so rung 2 is
+                // out of play.
+                resume: false,
+            },
         },
-        FaultPlan {
-            seed: 0xDEAD11,
-            drop_per_mille: 0,
-            corrupt_per_mille: 0,
-            duplicate_per_mille: 0,
-            reorder_per_mille: 0,
-            delay_per_mille: 0,
-            disconnect_at: Some(1),
-            ..FaultPlan::none()
-        },
-        RecoveryPolicy {
-            max_retries: 3,
-            backoff: Duration::from_millis(1),
-            fallback: FallbackPolicy::Fail,
-            // The point of this test is the rung-3 dump, so rung 2 is
-            // out of play.
-            resume: false,
-        },
+        &Obs::default(),
     )
     .expect_err("dead link with Fail policy errors");
     assert!(err.to_string().contains("retries exhausted"), "{err}");

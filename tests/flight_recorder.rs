@@ -6,8 +6,8 @@
 
 use hpm_arch::Architecture;
 use hpm_migrate::{
-    run_migrating_planned_recorded, run_migrating_resilient_recorded, run_straight, FallbackPolicy,
-    MigError, MigrationPlan, PipelineConfig, RecoveryPolicy, Trigger,
+    migrate, run_straight, FallbackPolicy, MigError, MigrationPlan, Obs, PipelineConfig, Planning,
+    RecoveryPolicy, Route, Trigger,
 };
 use hpm_net::{FaultPlan, NetworkModel, WireCodec};
 use hpm_obs::{FlightDump, FlightRecorder};
@@ -43,22 +43,27 @@ fn big_chunk_cfg() -> PipelineConfig {
 }
 
 fn run_doomed(recorder: &FlightRecorder) -> MigError {
-    run_migrating_resilient_recorded(
+    migrate(
         TestPointer::new,
         Architecture::dec5000(),
         Architecture::sparc20(),
         NetworkModel::ethernet_10(),
         Trigger::AtPollCount(8),
-        big_chunk_cfg(),
-        dead_link_plan(),
-        RecoveryPolicy {
-            max_retries: 3,
-            backoff: Duration::from_millis(1),
-            fallback: FallbackPolicy::Fail,
-            // This test asserts rung-3 behavior; keep rung 2 out of play.
-            resume: false,
+        Route::Resilient {
+            config: big_chunk_cfg(),
+            faults: dead_link_plan(),
+            policy: RecoveryPolicy {
+                max_retries: 3,
+                backoff: Duration::from_millis(1),
+                fallback: FallbackPolicy::Fail,
+                // This test asserts rung-3 behavior; keep rung 2 out of play.
+                resume: false,
+            },
         },
-        recorder,
+        &Obs {
+            recorder: recorder.clone(),
+            ..Obs::default()
+        },
     )
     .expect_err("a dead link with Fail policy must error")
 }
@@ -122,22 +127,27 @@ fn forced_failure_dump_is_deterministic_and_names_the_chunk() {
 #[test]
 fn source_resume_fallback_attaches_the_dump_to_the_report() {
     let recorder = FlightRecorder::new();
-    let run = run_migrating_resilient_recorded(
+    let run = migrate(
         TestPointer::new,
         Architecture::dec5000(),
         Architecture::sparc20(),
         NetworkModel::ethernet_10(),
         Trigger::AtPollCount(8),
-        big_chunk_cfg(),
-        dead_link_plan(),
-        RecoveryPolicy {
-            max_retries: 3,
-            backoff: Duration::from_millis(1),
-            fallback: FallbackPolicy::SourceResume,
-            // This test asserts rung-3 behavior; keep rung 2 out of play.
-            resume: false,
+        Route::Resilient {
+            config: big_chunk_cfg(),
+            faults: dead_link_plan(),
+            policy: RecoveryPolicy {
+                max_retries: 3,
+                backoff: Duration::from_millis(1),
+                fallback: FallbackPolicy::SourceResume,
+                // This test asserts rung-3 behavior; keep rung 2 out of play.
+                resume: false,
+            },
         },
-        &recorder,
+        &Obs {
+            recorder: recorder.clone(),
+            ..Obs::default()
+        },
     )
     .expect("SourceResume turns the dead link into a local resume");
 
@@ -173,14 +183,17 @@ fn parallel_driver_reports_shards_and_collect_events() {
     // Forced plan: the workload sits below the adaptive planner's byte
     // cutoff, and this test is about shard reporting, not the planner.
     let recorder = FlightRecorder::new();
-    let run = run_migrating_planned_recorded(
+    let run = migrate(
         TestPointer::new,
         Architecture::dec5000(),
         Architecture::sparc20(),
         NetworkModel::ethernet_10(),
         Trigger::AtPollCount(8),
-        MigrationPlan::forced(4, WireCodec::V2),
-        &recorder,
+        Route::Planned(Planning::Fixed(MigrationPlan::forced(4, WireCodec::V2))),
+        &Obs {
+            recorder: recorder.clone(),
+            ..Obs::default()
+        },
     )
     .expect("parallel migration succeeds");
 

@@ -5,8 +5,7 @@
 
 use hpm::arch::Architecture;
 use hpm::migrate::{
-    run_migrating, run_migrating_parallel, run_migrating_planned, run_to_migration, MigrationPlan,
-    Trigger,
+    migrate, run_migrating, run_to_migration, MigrationPlan, Obs, Planning, Route, Trigger,
 };
 use hpm::net::{NetworkModel, WireCodec};
 use hpm::workloads::{BitonicSort, Linpack, TestPointer};
@@ -70,13 +69,14 @@ fn parallel_driver_migrates_end_to_end() {
         Trigger::AtPollCount(8),
     )
     .unwrap();
-    let par = run_migrating_parallel(
+    let par = migrate(
         TestPointer::new,
         Architecture::ultra5(),
         Architecture::dec5000(),
         NetworkModel::instant(),
         Trigger::AtPollCount(8),
-        4,
+        Route::Planned(Planning::Adaptive { workers: 4 }),
+        &Obs::default(),
     )
     .unwrap();
     assert_eq!(par.results, seq.results);
@@ -111,13 +111,14 @@ fn forced_parallel_compressed_driver_matches_sequential() {
     .unwrap();
     for workers in [1usize, 2, 4] {
         for codec in [WireCodec::V2, WireCodec::V3] {
-            let run = run_migrating_planned(
+            let run = migrate(
                 TestPointer::new,
                 Architecture::ultra5(),
                 Architecture::dec5000(),
                 NetworkModel::instant(),
                 Trigger::AtPollCount(8),
-                MigrationPlan::forced(workers, codec),
+                Route::Planned(Planning::Fixed(MigrationPlan::forced(workers, codec))),
+                &Obs::default(),
             )
             .unwrap();
             let tag = format!("workers={workers} codec={codec:?}");

@@ -9,7 +9,7 @@
 
 use hpm::arch::Architecture;
 use hpm::migrate::{
-    run_migrating, run_migrating_planned, run_to_migration, MigrationPlan, Trigger,
+    migrate, run_migrating, run_to_migration, MigrationPlan, Obs, Planning, Route, Trigger,
 };
 use hpm::net::{channel_pair, ChunkReceiver, ChunkSender, NetworkModel, WireCodec};
 use hpm::workloads::TestPointer;
@@ -70,13 +70,14 @@ fn every_preset_pair_roundtrips_stored_and_compressed() {
             )
             .unwrap();
             for codec in [WireCodec::V2, WireCodec::V3] {
-                let run = run_migrating_planned(
+                let run = migrate(
                     TestPointer::new,
                     src.clone(),
                     dst.clone(),
                     NetworkModel::instant(),
                     Trigger::AtPollCount(8),
-                    MigrationPlan::forced(1, codec),
+                    Route::Planned(Planning::Fixed(MigrationPlan::forced(1, codec))),
+                    &Obs::default(),
                 )
                 .unwrap();
                 let tag = format!("{} -> {} via {codec:?}", src.name, dst.name);
