@@ -694,6 +694,9 @@ pub struct WireRow {
     pub ratio: f64,
     /// Chunks the v3 sender actually compressed (vs stored fallback).
     pub chunks_compressed: u64,
+    /// Chunks the v3 sender's backoff shipped stored without trying the
+    /// compressor (an earlier chunk's compression did not pay).
+    pub chunks_compress_skipped: u64,
     /// Whether the forced-v3 run restored the same answers and shipped a
     /// byte-identical image. Anything but `true` fails the wire gate.
     pub restored_identical: bool,
@@ -781,6 +784,7 @@ fn wire_row<P: hpm_migrate::MigratableProgram>(
         wire_bytes: t.wire_payload_bytes,
         ratio: t.compression_ratio(),
         chunks_compressed: t.chunks_compressed,
+        chunks_compress_skipped: t.chunks_compress_skipped,
         restored_identical: comp.results == seq.results
             && comp.report.image_bytes == seq.report.image_bytes,
         seq_restore: comp.report.restore_time,
@@ -1902,7 +1906,8 @@ pub fn bench_json(revision: &str) -> String {
     for (i, r) in wrows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"raw_bytes\": {}, \"wire_bytes\": {}, \"ratio\": {:.4}, \
-             \"chunks_compressed\": {}, \"restored_identical\": {}, \
+             \"chunks_compressed\": {}, \"chunks_compress_skipped\": {}, \
+             \"restored_identical\": {}, \
              \"par_restore_identical\": {}, \"below_cutoff\": {}, \"seq_restore_ns\": {}, \
              \"par_restore_ns\": {}, \"restore_speedup\": {:.4}, \"sequential_total_ns\": {}, \
              \"adaptive_total_ns\": {}, \"adaptive_workers\": {}, \"adaptive_compressed\": {}}}{}\n",
@@ -1911,6 +1916,7 @@ pub fn bench_json(revision: &str) -> String {
             r.wire_bytes,
             r.ratio,
             r.chunks_compressed,
+            r.chunks_compress_skipped,
             r.restored_identical,
             r.par_restore_identical,
             r.below_cutoff,

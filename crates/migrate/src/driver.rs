@@ -34,7 +34,7 @@ use hpm_obs::{
     render_groups, snapshot, FlightDump, FlightRecorder, FlightTrack, Histogram, HistogramSnapshot,
     Obs, StatField, StatGroup, TraceLog, Tracer,
 };
-use hpm_xdr::{image_id, ChunkRecord, RestoreJournal};
+use hpm_xdr::{image_id, ChunkRecord, RestoreJournal, MAX_CHUNK_BYTES};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
@@ -188,6 +188,30 @@ pub enum Route {
     },
 }
 
+impl Route {
+    /// Refuse a configuration no receiver could accept, before the
+    /// program runs.
+    fn check(&self) -> Result<(), MigError> {
+        match self {
+            Route::Pipelined(config) | Route::Resilient { config, .. } => {
+                check_chunk_bytes(config.chunk_bytes)
+            }
+            Route::Image | Route::Planned(_) => Ok(()),
+        }
+    }
+}
+
+/// Refuse a chunk size above [`MAX_CHUNK_BYTES`], the largest chunk a
+/// receiver accepts.
+pub(crate) fn check_chunk_bytes(chunk_bytes: usize) -> Result<(), MigError> {
+    if chunk_bytes > MAX_CHUNK_BYTES {
+        return Err(MigError::Net(format!(
+            "chunk_bytes {chunk_bytes} exceeds the {MAX_CHUNK_BYTES}-byte chunk limit"
+        )));
+    }
+    Ok(())
+}
+
 /// Where a [`Route::Planned`] run's [`MigrationPlan`] comes from.
 #[derive(Debug, Clone, Copy)]
 pub enum Planning {
@@ -224,24 +248,29 @@ pub fn migrate<P: MigratableProgram>(
     route: Route,
     obs: &Obs,
 ) -> Result<MigrationRun, MigError> {
-    let run = freeze(&make, src_arch, trigger).and_then(|frozen| match route {
-        Route::Image => monolithic(&make, frozen, dst_arch, link, None, obs),
-        Route::Planned(planning) => monolithic(&make, frozen, dst_arch, link, Some(planning), obs),
-        Route::Pipelined(config) => streamed(&make, frozen, dst_arch, link, config, None, obs),
-        Route::Resilient {
-            config,
-            faults,
-            policy,
-        } => streamed(
-            &make,
-            frozen,
-            dst_arch,
-            link,
-            config,
-            Some((faults, policy)),
-            obs,
-        ),
-    });
+    let run = route
+        .check()
+        .and_then(|()| freeze(&make, src_arch, trigger))
+        .and_then(|frozen| match route {
+            Route::Image => monolithic(&make, frozen, dst_arch, link, None, obs),
+            Route::Planned(planning) => {
+                monolithic(&make, frozen, dst_arch, link, Some(planning), obs)
+            }
+            Route::Pipelined(config) => streamed(&make, frozen, dst_arch, link, config, None, obs),
+            Route::Resilient {
+                config,
+                faults,
+                policy,
+            } => streamed(
+                &make,
+                frozen,
+                dst_arch,
+                link,
+                config,
+                Some((faults, policy)),
+                obs,
+            ),
+        });
     let mut run = run.inspect_err(|_| persist_flight_dump(&obs.recorder.dump()))?;
     if let Some(dump) = &run.report.flight {
         persist_flight_dump(dump);
@@ -635,7 +664,10 @@ pub const PARALLEL_BYTES_CUTOFF: u64 = 8 * 1024 * 1024;
 
 /// Registered-bytes floor for v3 (compressed) framing: an image smaller
 /// than this saves too few wire bytes to pay the per-frame `raw_len`
-/// header and compressor latency.
+/// header and compressor latency. Above it the planner picks v3 on size
+/// alone; whether each chunk is then compressed is the sender's call
+/// (see [`WireCodec::V3`]): after a chunk whose compression does not
+/// pay, it ships the next chunks stored without trying.
 pub const COMPRESS_BYTES_CUTOFF: u64 = 4 * 1024;
 
 /// Payload bytes per wire frame on the [`Route::Planned`] path.
@@ -830,7 +862,8 @@ fn monolithic<P: MigratableProgram>(
 /// [`Route::Resilient`]).
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineConfig {
-    /// Payload bytes per chunk — the collector's flush watermark.
+    /// Payload bytes per chunk — the collector's flush watermark. At
+    /// most [`MAX_CHUNK_BYTES`]; [`migrate`] refuses a larger value.
     pub chunk_bytes: usize,
     /// Pace the wire in real time: each chunk's modeled transmission
     /// time is slept before delivery, so the destination experiences the
@@ -2120,6 +2153,46 @@ mod tests {
         assert_eq!(r.faults_injected, 0);
         assert!(r.acks_sent > 0, "receiver must have acknowledged");
         assert!(resilient.report.pipeline.is_some());
+    }
+
+    #[test]
+    fn chunk_bytes_above_the_frame_limit_is_refused() {
+        let cfg = PipelineConfig {
+            chunk_bytes: hpm_xdr::MAX_CHUNK_BYTES + 1,
+            ..quick_cfg()
+        };
+        let refused = |r: Result<(), MigError>| matches!(r, Err(MigError::Net(m)) if m.contains("chunk limit"));
+        for route in [
+            Route::Pipelined(cfg),
+            Route::Resilient {
+                config: cfg,
+                faults: FaultPlan::none(),
+                policy: quick_policy(),
+            },
+        ] {
+            let r = migrate(
+                || Summer::new(50),
+                Architecture::dec5000(),
+                Architecture::sparc20(),
+                hpm_net::NetworkModel::instant(),
+                Trigger::AtPollCount(25),
+                route,
+                &Obs::default(),
+            );
+            assert!(refused(r.map(|_| ())), "{route:?}");
+        }
+        let r = crate::run_migrating_precopy(
+            || Summer::new(50),
+            Architecture::dec5000(),
+            Architecture::sparc20(),
+            hpm_net::NetworkModel::instant(),
+            Trigger::AtPollCount(25),
+            crate::PrecopyConfig {
+                chunk_bytes: hpm_xdr::MAX_CHUNK_BYTES + 1,
+                ..crate::PrecopyConfig::default()
+            },
+        );
+        assert!(refused(r.map(|_| ())));
     }
 
     #[test]

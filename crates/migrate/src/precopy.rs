@@ -41,8 +41,8 @@ use hpm_xdr::journal::image_id;
 
 use crate::ctx::MigratableProgram;
 use crate::driver::{
-    open_destination, resume_from_image, run_to_migration, Dst, MigratedSource, Opened,
-    WIRE_CHUNK_BYTES,
+    check_chunk_bytes, open_destination, resume_from_image, run_to_migration, Dst, MigratedSource,
+    Opened, WIRE_CHUNK_BYTES,
 };
 use crate::process::{Process, Trigger};
 use crate::MigError;
@@ -92,7 +92,8 @@ pub struct PrecopyConfig {
     /// Freeze when the dirty fraction (changed blocks / live blocks)
     /// drops to or below this.
     pub dirty_threshold: f64,
-    /// Chunk size on the ARQ path (ignored on the plain channel).
+    /// Chunk size on the ARQ path (ignored on the plain channel). At
+    /// most [`hpm_xdr::MAX_CHUNK_BYTES`]; a larger value is refused.
     pub chunk_bytes: usize,
     /// Test hook: corrupt the receiver's retained base image just before
     /// applying this round's delta, forcing the digest refusal and the
@@ -330,6 +331,7 @@ fn precopy_inner<P: MigratableProgram>(
     base_trigger: Trigger,
     cfg: PrecopyConfig,
 ) -> Result<PrecopyRun, MigError> {
+    check_chunk_bytes(cfg.chunk_bytes)?;
     let mut stats = PrecopyStats {
         identity_ok: true,
         ..PrecopyStats::default()

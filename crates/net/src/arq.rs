@@ -28,7 +28,7 @@
 
 use crate::channel::{Channel, NetError};
 use crate::fault::FrameLink;
-use crate::stream::{expand_incoming, frame_outgoing, WireCodec};
+use crate::stream::{expand_incoming, frame_outgoing, CodecBackoff, WireCodec};
 use hpm_obs::{FlightTrack, Histogram, HistogramSnapshot};
 use hpm_xdr::{
     frame_control, frame_stamped_crc, records_digest, unframe_chunk_any, unframe_control,
@@ -135,6 +135,9 @@ pub struct ReliableChunkSender<L: FrameLink> {
     link: L,
     cfg: ArqConfig,
     codec: WireCodec,
+    /// The v3 compressor governor; a resumed stream is a new sender, so
+    /// it starts fresh.
+    backoff: CodecBackoff,
     next_seq: u32,
     window: VecDeque<WindowEntry>,
     /// Frame copies accepted by the link (for lossless links this *is*
@@ -160,6 +163,7 @@ impl<L: FrameLink> ReliableChunkSender<L> {
             link,
             cfg,
             codec: WireCodec::default(),
+            backoff: CodecBackoff::default(),
             next_seq: 0,
             window: VecDeque::new(),
             wire_sends: 0,
@@ -171,8 +175,8 @@ impl<L: FrameLink> ReliableChunkSender<L> {
         }
     }
 
-    /// Record protocol events on `track` (`chunk.sent`, `chunk.retried`,
-    /// `ack`, `nack`, `retries.exhausted`).
+    /// Record protocol events on `track` (`chunk.sent`, `codec.backoff`,
+    /// `chunk.retried`, `ack`, `nack`, `retries.exhausted`).
     pub fn with_flight(mut self, track: FlightTrack) -> Self {
         self.flight = Some(track);
         self
@@ -305,11 +309,13 @@ impl<L: FrameLink> ReliableChunkSender<L> {
     pub fn send(&mut self, payload: &[u8]) -> Result<(), NetError> {
         let (frame, wire_len) = frame_outgoing(
             self.codec,
+            &mut self.backoff,
             self.link.transfer_stats(),
+            self.flight.as_ref(),
             self.next_seq,
             false,
             payload,
-        );
+        )?;
         self.ship(frame, payload.len() as u32, wire_len as u32, false)
     }
 
@@ -319,11 +325,13 @@ impl<L: FrameLink> ReliableChunkSender<L> {
     pub fn finish(&mut self) -> Result<u32, NetError> {
         let (frame, wire_len) = frame_outgoing(
             self.codec,
+            &mut self.backoff,
             self.link.transfer_stats(),
+            self.flight.as_ref(),
             self.next_seq,
             true,
             &[],
-        );
+        )?;
         self.ship(frame, 0, wire_len as u32, true)?;
         self.link.flush()?;
         while !self.window.is_empty() {
@@ -1131,6 +1139,162 @@ mod tests {
             assert_eq!(again.4, first.4, "wire bytes");
             assert_eq!(again.5, first.5, "compressed chunks");
         }
+    }
+
+    /// A [`FrameLink`] that records every frame the sender hands it,
+    /// before the wrapped link applies any fault.
+    struct Tap<L> {
+        inner: L,
+        sent: Vec<Vec<u8>>,
+    }
+
+    impl<L: FrameLink> FrameLink for Tap<L> {
+        fn send_frame(&mut self, frame: Vec<u8>) -> Result<(), NetError> {
+            self.sent.push(frame.clone());
+            self.inner.send_frame(frame)
+        }
+        fn try_recv_control(&mut self) -> Option<Vec<u8>> {
+            self.inner.try_recv_control()
+        }
+        fn recv_control_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>, NetError> {
+            self.inner.recv_control_timeout(timeout)
+        }
+        fn flush(&mut self) -> Result<(), NetError> {
+            self.inner.flush()
+        }
+        fn intact_deliveries(&self) -> Option<u64> {
+            self.inner.intact_deliveries()
+        }
+        fn transfer_stats(&self) -> Option<&crate::TransferStats> {
+            self.inner.transfer_stats()
+        }
+    }
+
+    /// Noise, then compressible runs, then noise again: the backoff
+    /// engages, resets and engages again within one stream.
+    fn mixed_backoff_payloads() -> Vec<Vec<u8>> {
+        (0..56u64)
+            .map(|i| match i {
+                20..=31 => vec![(i % 7) as u8; 700],
+                _ => crate::stream::noise(i, 700),
+            })
+            .collect()
+    }
+
+    /// Backoff test (d): over a seeded lossy, corrupting link every copy
+    /// of chunk k the ARQ sender ships — original and retransmissions —
+    /// is the frame a plain v3 sender produces for chunk k, and the
+    /// receiver reassembles the exact image.
+    #[test]
+    fn retransmissions_resend_the_backed_off_frames_byte_for_byte() {
+        let data = mixed_backoff_payloads();
+        let (a, b) = channel_pair(NetworkModel::instant());
+        let mut plain = crate::ChunkSender::new(&a).with_codec(crate::WireCodec::V3);
+        for p in &data {
+            plain.send(p).unwrap();
+        }
+        let n = plain.finish().unwrap();
+        let expected: Vec<Vec<u8>> = (0..n).map(|_| b.recv().unwrap()).collect();
+        assert!(a.stats().snapshot().chunks_compress_skipped > 0);
+
+        let plan = FaultPlan {
+            seed: 0xBAC0FF,
+            drop_per_mille: 120,
+            corrupt_per_mille: 120,
+            ..FaultPlan::none()
+        };
+        let (src, dst) = channel_pair(NetworkModel::instant());
+        let link = Tap {
+            inner: FaultyEndpoint::new(src, plan),
+            sent: Vec::new(),
+        };
+        let h = std::thread::spawn(move || {
+            let mut rx = ReliableChunkReceiver::new(dst, cfg());
+            let mut image = Vec::new();
+            while let Some(p) = rx.recv_chunk().unwrap() {
+                image.extend_from_slice(&p);
+            }
+            image
+        });
+        let mut tx = ReliableChunkSender::new(link, cfg()).with_codec(crate::WireCodec::V3);
+        for p in &data {
+            tx.send(p).unwrap();
+        }
+        assert_eq!(tx.finish().unwrap(), n);
+        assert!(
+            tx.stats().retransmits > 0,
+            "the plan forced no retransmission"
+        );
+        let link = tx.into_link();
+        let faults = link.inner.stats();
+        assert!(faults.dropped > 0 && faults.corrupted > 0, "{faults:?}");
+        for frame in &link.sent {
+            let seq = unframe_chunk_any(frame).unwrap().seq as usize;
+            assert_eq!(*frame, expected[seq], "a copy of chunk {seq} differs");
+        }
+        drop(link);
+        assert_eq!(h.join().unwrap(), data.concat());
+    }
+
+    /// Backoff test (e): a destination that dies while the sender is
+    /// mid-backoff resumes from its journal onto a new sender, whose
+    /// backoff starts fresh; the journal plus the resumed tail is the
+    /// exact image.
+    #[test]
+    fn journal_resume_mid_backoff_delivers_the_exact_image() {
+        // Noise throughout: the first sender tries chunk 2 and then
+        // skips 3 and 4, so chunk 3 falls inside a backoff.
+        let data: Vec<Vec<u8>> = (0..30).map(|i| crate::stream::noise(i, 1024)).collect();
+        let k = 3u32;
+        let (src, dst) = channel_pair(NetworkModel::instant());
+        let journal = Arc::new(Mutex::new(RestoreJournal::new(5)));
+        let journal_rx = Arc::clone(&journal);
+        let h = std::thread::spawn(move || {
+            let mut rx = ReliableChunkReceiver::new(dst, cfg())
+                .with_journal(journal_rx)
+                .with_crash_at(Some(k));
+            while rx.recv_chunk().is_ok_and(|c| c.is_some()) {}
+        });
+        let mut tx = ReliableChunkSender::new(src, cfg()).with_codec(crate::WireCodec::V3);
+        for p in &data {
+            if tx.send(p).is_err() {
+                break;
+            }
+        }
+        let _ = tx.finish();
+        h.join().unwrap();
+        let ledger = tx.records().to_vec();
+        let journal = journal.lock().unwrap_or_else(|p| p.into_inner()).clone();
+        assert_eq!(journal.next_chunk(), k);
+
+        let (src2, dst2) = channel_pair(NetworkModel::instant());
+        let resumed = journal.clone();
+        let h2 = std::thread::spawn(move || {
+            let mut rx = ReliableChunkReceiver::new_resuming(dst2, cfg(), &resumed).unwrap();
+            let mut tail = Vec::new();
+            while let Some(p) = rx.recv_chunk().unwrap() {
+                tail.extend_from_slice(&p);
+            }
+            tail
+        });
+        let mut tx2 = ReliableChunkSender::new(src2, cfg()).with_codec(crate::WireCodec::V3);
+        assert!(matches!(
+            tx2.accept_resume(5, &ledger).unwrap(),
+            ResumeDecision::Accepted { next: 3, .. }
+        ));
+        for p in &data[k as usize..] {
+            tx2.send(p).unwrap();
+        }
+        tx2.finish().unwrap();
+        // A fresh backoff over chunks 3..=29 and the terminator tries
+        // chunks 3, 5, 8, 13 and 22 — the same 0, 2, 5, 10, 19 offsets
+        // as a stream starting at 0.
+        let snap = tx2.into_link().stats().snapshot();
+        assert_eq!(snap.compress_lat.count, 5);
+        assert_eq!(snap.chunks_compress_skipped, 28 - 5);
+        let mut image = journal.payloads().concat();
+        image.extend_from_slice(&h2.join().unwrap());
+        assert_eq!(image, data.concat());
     }
 
     #[test]

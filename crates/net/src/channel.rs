@@ -96,6 +96,9 @@ pub struct TransferStats {
     wire_payload_bytes: AtomicU64,
     /// Chunks whose payload went out compressed (vs stored).
     chunks_compressed: AtomicU64,
+    /// v3 chunks shipped stored without trying the compressor, because
+    /// the sender's codec backoff was active.
+    chunks_compress_skipped: AtomicU64,
     /// Per-message modeled wire latency distribution (nanoseconds).
     wire_lat: Histogram,
     /// Per-chunk compression latency distribution (nanoseconds).
@@ -141,6 +144,12 @@ impl TransferStats {
         }
     }
 
+    /// Account one v3 chunk the sender's backoff shipped stored without
+    /// trying the compressor.
+    pub fn observe_compress_skipped(&self) {
+        self.chunks_compress_skipped.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Account one chunk payload being compressed on the send side.
     pub fn observe_compress(&self, nanos: u64) {
         self.compress_lat.observe(nanos);
@@ -160,6 +169,7 @@ impl TransferStats {
             raw_payload_bytes: self.raw_payload_bytes.load(Ordering::Relaxed),
             wire_payload_bytes: self.wire_payload_bytes.load(Ordering::Relaxed),
             chunks_compressed: self.chunks_compressed.load(Ordering::Relaxed),
+            chunks_compress_skipped: self.chunks_compress_skipped.load(Ordering::Relaxed),
             wire_lat: self.wire_lat.snapshot(),
             compress_lat: self.compress_lat.snapshot(),
             decompress_lat: self.decompress_lat.snapshot(),
@@ -182,6 +192,9 @@ pub struct TransferSnapshot {
     pub wire_payload_bytes: u64,
     /// Chunks whose payload went out compressed (vs stored).
     pub chunks_compressed: u64,
+    /// v3 chunks shipped stored without trying the compressor, because
+    /// an earlier chunk of the stream did not pay for its compression.
+    pub chunks_compress_skipped: u64,
     /// Per-message modeled wire latency distribution (nanoseconds).
     pub wire_lat: HistogramSnapshot,
     /// Per-chunk compression latency distribution (nanoseconds).
@@ -220,6 +233,7 @@ impl StatGroup for TransferSnapshot {
             StatField::bytes("raw_payload_bytes", self.raw_payload_bytes),
             StatField::bytes("wire_payload_bytes", self.wire_payload_bytes),
             StatField::count("chunks_compressed", self.chunks_compressed),
+            StatField::count("chunks_compress_skipped", self.chunks_compress_skipped),
             StatField::ratio("compression_ratio", self.compression_ratio()),
             StatField::duration("wire_p50", Duration::from_nanos(self.wire_lat.p50())),
             StatField::duration("wire_p90", Duration::from_nanos(self.wire_lat.p90())),
@@ -251,6 +265,7 @@ impl StatGroup for TransferSnapshot {
         self.raw_payload_bytes += other.raw_payload_bytes;
         self.wire_payload_bytes += other.wire_payload_bytes;
         self.chunks_compressed += other.chunks_compressed;
+        self.chunks_compress_skipped += other.chunks_compress_skipped;
         self.wire_lat.merge(&other.wire_lat);
         self.compress_lat.merge(&other.compress_lat);
         self.decompress_lat.merge(&other.decompress_lat);

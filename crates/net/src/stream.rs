@@ -5,10 +5,19 @@
 //! destination can start restoring while the source is still collecting.
 //! [`ChunkSender`] frames and sends; [`ChunkReceiver`] unframes, checks
 //! sequence numbers, and latches end-of-stream at the LAST flag.
+//!
+//! Under [`WireCodec::V3`] every sender (this one and the ARQ sender)
+//! governs its own compressor with a `CodecBackoff`: a chunk whose
+//! compression does not pay starts a run of chunks shipped stored
+//! without trying. The backoff reads only the chunk sequence, so a
+//! stream's frames stay a pure function of its payloads.
 
 use crate::channel::{Channel, NetError, TransferStats};
 use hpm_obs::FlightTrack;
-use hpm_xdr::{frame_chunk_v2, frame_chunk_v3, unframe_chunk_any, ChunkFrame};
+use hpm_xdr::{
+    frame_chunk_v2, frame_chunk_v3, frame_chunk_v3_stored, unframe_chunk_any, ChunkFrame,
+    MAX_CHUNK_BYTES,
+};
 use std::time::Instant;
 
 /// Which chunk-frame version a sender puts on the wire. Receivers need
@@ -20,42 +29,149 @@ pub enum WireCodec {
     #[default]
     V2,
     /// v3 frames: per-chunk compression with a stored fallback for
-    /// incompressible chunks; CRC over the wire (compressed) bytes.
+    /// incompressible chunks; CRC over the wire (compressed) bytes. The
+    /// sender stops trying the compressor for a while after a chunk
+    /// whose compression did not pay (wire payload above 7/8 of raw),
+    /// backing off 1, 2, 4, … up to 16 chunks, so a stream that does
+    /// not compress costs a handful of compressor calls, not one per
+    /// chunk.
     V3,
+}
+
+/// A tried chunk pays when `wire * PAY_DEN <= raw * PAY_NUM`: the
+/// compressor saved at least 1/8 of the chunk.
+const PAY_NUM: u64 = 7;
+const PAY_DEN: u64 = 8;
+
+/// Longest run of chunks one backoff ships without trying the
+/// compressor.
+const MAX_SKIP: u32 = 16;
+
+/// Per-stream compressor governor for [`WireCodec::V3`].
+///
+/// A tried chunk that does not pay starts a backoff: the next `skip`
+/// chunks go out stored without calling the compressor, where `skip`
+/// runs 1, 2, 4, … and stays at [`MAX_SKIP`]. The first chunk after a
+/// backoff is tried again; a chunk that pays resets `skip` to 1. The
+/// state is a function of the chunk sequence alone, so a stream's frames
+/// are too; a new sender (a resumed stream included) starts fresh.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CodecBackoff {
+    /// Chunks still to ship stored before the next attempt.
+    skip_left: u32,
+    /// Length of the backoff the next non-paying chunk starts.
+    next_skip: u32,
+}
+
+impl Default for CodecBackoff {
+    fn default() -> Self {
+        CodecBackoff {
+            skip_left: 0,
+            next_skip: 1,
+        }
+    }
+}
+
+impl CodecBackoff {
+    /// Whether this chunk should be tried; consumes one skipped chunk
+    /// when not.
+    fn try_next(&mut self) -> bool {
+        if self.skip_left == 0 {
+            return true;
+        }
+        self.skip_left -= 1;
+        false
+    }
+
+    /// Record a tried chunk's outcome; returns the backoff it starts,
+    /// if it did not pay.
+    fn record(&mut self, raw: usize, wire: usize) -> Option<u32> {
+        if wire as u64 * PAY_DEN <= raw as u64 * PAY_NUM {
+            self.next_skip = 1;
+            return None;
+        }
+        self.skip_left = self.next_skip;
+        self.next_skip = (self.next_skip * 2).min(MAX_SKIP);
+        Some(self.skip_left)
+    }
 }
 
 /// Frame one outgoing chunk under `codec`, accounting raw-vs-wire
 /// payload volume (and compression latency for v3) into `stats` when
-/// the link exposes one. Shared by [`ChunkSender`] and the ARQ sender
-/// so both paths report identical counters.
+/// the link exposes one. Under v3, `backoff` decides whether the
+/// compressor is tried; a chunk that starts a backoff is recorded on
+/// `flight` as `codec.backoff`. Shared by [`ChunkSender`] and the ARQ
+/// sender so both paths frame and report identically. A payload above
+/// [`MAX_CHUNK_BYTES`] is refused: no receiver would accept it.
 pub(crate) fn frame_outgoing(
     codec: WireCodec,
+    backoff: &mut CodecBackoff,
     stats: Option<&TransferStats>,
+    flight: Option<&FlightTrack>,
     seq: u32,
     last: bool,
     payload: &[u8],
-) -> (Vec<u8>, usize) {
-    match codec {
+) -> Result<(Vec<u8>, usize), NetError> {
+    if payload.len() > MAX_CHUNK_BYTES {
+        return Err(NetError::ChunkFraming {
+            chunk: seq,
+            reason: format!(
+                "{} payload bytes exceed the {MAX_CHUNK_BYTES}-byte chunk limit",
+                payload.len()
+            ),
+        });
+    }
+    let raw = payload.len();
+    Ok(match codec {
         WireCodec::V2 => {
             if let Some(s) = stats {
-                s.observe_chunk_out(payload.len() as u64, payload.len() as u64, false);
+                s.observe_chunk_out(raw as u64, raw as u64, false);
             }
-            (frame_chunk_v2(seq, last, payload), payload.len())
+            (frame_chunk_v2(seq, last, payload), raw)
         }
         WireCodec::V3 => {
+            if !backoff.try_next() {
+                if let Some(s) = stats {
+                    s.observe_chunk_out(raw as u64, raw as u64, false);
+                    s.observe_compress_skipped();
+                }
+                return Ok((frame_chunk_v3_stored(seq, last, payload), raw));
+            }
             let t0 = Instant::now();
-            let (frame, wire_len) = frame_chunk_v3(seq, last, payload);
+            let (frame, wire) = frame_chunk_v3(seq, last, payload);
             if let Some(s) = stats {
-                s.observe_chunk_out(
-                    payload.len() as u64,
-                    wire_len as u64,
-                    wire_len < payload.len(),
-                );
+                s.observe_chunk_out(raw as u64, wire as u64, wire < raw);
                 s.observe_compress(t0.elapsed().as_nanos() as u64);
             }
-            (frame, wire_len)
+            if let (Some(skip), Some(t)) = (backoff.record(raw, wire), flight) {
+                t.event(
+                    "codec.backoff",
+                    &[
+                        ("chunk", seq as u64),
+                        ("raw", raw as u64),
+                        ("wire", wire as u64),
+                        ("skip", skip as u64),
+                    ],
+                );
+            }
+            (frame, wire)
         }
-    }
+    })
+}
+
+/// `len` bytes of splitmix64 noise from `seed`: data no compressor
+/// shrinks, for the backoff tests here and in the ARQ module.
+#[cfg(test)]
+pub(crate) fn noise(seed: u64, len: usize) -> Vec<u8> {
+    let mut s = seed;
+    (0..len)
+        .map(|_| {
+            s = s.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = s;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            (z ^ (z >> 31)) as u8
+        })
+        .collect()
 }
 
 /// Expand one verified incoming frame under whatever codec the sender
@@ -88,6 +204,7 @@ pub struct ChunkSender<'a> {
     ch: &'a Channel,
     seq: u32,
     codec: WireCodec,
+    backoff: CodecBackoff,
     flight: Option<FlightTrack>,
 }
 
@@ -98,6 +215,7 @@ impl<'a> ChunkSender<'a> {
             ch,
             seq: 0,
             codec: WireCodec::default(),
+            backoff: CodecBackoff::default(),
             flight: None,
         }
     }
@@ -108,7 +226,8 @@ impl<'a> ChunkSender<'a> {
         self
     }
 
-    /// Record chunk events on `track` (`chunk.sent`, `stream.finish`).
+    /// Record chunk events on `track` (`chunk.sent`, `codec.backoff`,
+    /// `stream.finish`).
     pub fn with_flight(mut self, track: FlightTrack) -> Self {
         self.flight = Some(track);
         self
@@ -116,8 +235,15 @@ impl<'a> ChunkSender<'a> {
 
     /// Frame and send one payload chunk.
     pub fn send(&mut self, payload: &[u8]) -> Result<(), NetError> {
-        let (frame, wire_len) =
-            frame_outgoing(self.codec, Some(self.ch.stats()), self.seq, false, payload);
+        let (frame, wire_len) = frame_outgoing(
+            self.codec,
+            &mut self.backoff,
+            Some(self.ch.stats()),
+            self.flight.as_ref(),
+            self.seq,
+            false,
+            payload,
+        )?;
         if let Some(t) = &self.flight {
             t.event(
                 "chunk.sent",
@@ -134,8 +260,16 @@ impl<'a> ChunkSender<'a> {
 
     /// Terminate the stream with an empty LAST frame; returns the total
     /// number of frames sent, terminator included.
-    pub fn finish(self) -> Result<u32, NetError> {
-        let (frame, _) = frame_outgoing(self.codec, Some(self.ch.stats()), self.seq, true, &[]);
+    pub fn finish(mut self) -> Result<u32, NetError> {
+        let (frame, _) = frame_outgoing(
+            self.codec,
+            &mut self.backoff,
+            Some(self.ch.stats()),
+            self.flight.as_ref(),
+            self.seq,
+            true,
+            &[],
+        )?;
         if let Some(t) = &self.flight {
             t.event("stream.finish", &[("chunks", self.seq as u64 + 1)]);
         }
@@ -537,6 +671,128 @@ mod tests {
             Err(NetError::Corrupt { chunk, .. }) => assert_eq!(chunk, 0),
             other => panic!("expected Corrupt, got {other:?}"),
         }
+    }
+
+    /// Send `chunks` through a v3 [`ChunkSender`] with a flight track;
+    /// return the frames as they crossed the link, the sender-side
+    /// counters and the recorded `codec.backoff` skips.
+    fn ship_v3(chunks: &[Vec<u8>]) -> (Vec<Vec<u8>>, crate::TransferSnapshot, Vec<u64>) {
+        let recorder = hpm_obs::FlightRecorder::new();
+        let (a, b) = channel_pair(NetworkModel::instant());
+        let mut tx = ChunkSender::new(&a)
+            .with_codec(WireCodec::V3)
+            .with_flight(recorder.track("net.tx"));
+        for c in chunks {
+            tx.send(c).unwrap();
+        }
+        let n = tx.finish().unwrap();
+        let frames: Vec<Vec<u8>> = (0..n).map(|_| b.recv().unwrap()).collect();
+        let skips = recorder
+            .dump()
+            .events_of("codec.backoff")
+            .iter()
+            .map(|(_, e)| e.args.iter().find(|a| a.0 == "skip").unwrap().1)
+            .collect();
+        (frames, a.stats().snapshot(), skips)
+    }
+
+    /// Backoff test (a). 64 incompressible chunks plus the terminator
+    /// are 65 frames. The compressor runs on chunks 0, 2, 5, 10, 19, 36
+    /// and 53: each is followed by a backoff of 1, 2, 4, 8, 16, 16, 16
+    /// chunks, and the terminator (64) falls inside the last one. So 7
+    /// calls, 58 skips.
+    #[test]
+    fn incompressible_stream_calls_the_compressor_seven_times_in_64_chunks() {
+        let chunks: Vec<Vec<u8>> = (0..64).map(|i| noise(i, 4096)).collect();
+        let (frames, snap, skips) = ship_v3(&chunks);
+        assert_eq!(frames.len(), 65);
+        assert_eq!(snap.compress_lat.count, 7);
+        assert_eq!(snap.chunks_compress_skipped, 58);
+        assert_eq!(skips, vec![1, 2, 4, 8, 16, 16, 16]);
+        assert_eq!(snap.wire_payload_bytes, snap.raw_payload_bytes);
+        // Skipped chunks travel as ordinary stored v3 frames.
+        for (i, f) in frames.iter().enumerate() {
+            let last = i == 64;
+            let payload = if last { &[][..] } else { &chunks[i][..] };
+            assert_eq!(
+                *f,
+                frame_chunk_v3_stored(i as u32, last, payload),
+                "frame {i}"
+            );
+        }
+    }
+
+    /// Backoff test (b): when every chunk pays, the backoff never
+    /// engages and the stream is exactly per-chunk `frame_chunk_v3`.
+    #[test]
+    fn compressible_stream_frames_equal_per_chunk_frame_chunk_v3() {
+        let chunks: Vec<Vec<u8>> = (0..40u32)
+            .map(|i| {
+                let period = 1 + (i as usize % 7);
+                (0..4096)
+                    .map(|j| ((j % period) as u8) ^ (i as u8))
+                    .collect()
+            })
+            .collect();
+        let (frames, snap, skips) = ship_v3(&chunks);
+        for (i, f) in frames.iter().enumerate() {
+            let last = i == chunks.len();
+            let payload = if last { &[][..] } else { &chunks[i][..] };
+            assert_eq!(*f, frame_chunk_v3(i as u32, last, payload).0, "frame {i}");
+        }
+        assert!(skips.is_empty(), "{skips:?}");
+        assert_eq!(snap.chunks_compress_skipped, 0);
+        assert_eq!(snap.chunks_compressed, chunks.len() as u64);
+        assert_eq!(snap.compress_lat.count, chunks.len() as u64 + 1);
+    }
+
+    /// Backoff test (c): the longest a backoff can hide a change in the
+    /// data is one full skip, so the stream compresses again within
+    /// `MAX_SKIP + 1` chunks of turning compressible, and stays so.
+    #[test]
+    fn stream_compresses_again_within_cap_plus_one_chunks() {
+        for switch in [30usize, 37, 40, 52, 53] {
+            let chunks: Vec<Vec<u8>> = (0..switch + 40)
+                .map(|i| {
+                    if i < switch {
+                        noise(i as u64, 2048)
+                    } else {
+                        vec![0; 2048]
+                    }
+                })
+                .collect();
+            let (frames, ..) = ship_v3(&chunks);
+            let compressed: Vec<bool> = frames[..chunks.len()]
+                .iter()
+                .map(|f| unframe_chunk_any(f).unwrap().compressed)
+                .collect();
+            let first = compressed.iter().position(|&c| c).unwrap();
+            assert!(first >= switch, "switch {switch}: noise compressed");
+            assert!(
+                first < switch + MAX_SKIP as usize + 1,
+                "switch {switch}: compressing again only at {first}"
+            );
+            assert!(
+                compressed[first..].iter().all(|&c| c),
+                "switch {switch}: backed off again"
+            );
+        }
+    }
+
+    #[test]
+    fn oversized_payload_is_refused_before_framing() {
+        let (a, _b) = channel_pair(NetworkModel::instant());
+        let big = vec![0u8; MAX_CHUNK_BYTES + 1];
+        for codec in [WireCodec::V2, WireCodec::V3] {
+            let mut tx = ChunkSender::new(&a).with_codec(codec);
+            match tx.send(&big) {
+                Err(NetError::ChunkFraming { chunk: 0, reason }) => {
+                    assert!(reason.contains("chunk limit"), "{reason}")
+                }
+                other => panic!("expected ChunkFraming, got {other:?}"),
+            }
+        }
+        assert_eq!(a.stats().messages_sent(), 0);
     }
 
     #[test]

@@ -17,13 +17,23 @@
 //! opaque_var payload (4-byte aligned)  opaque_var wire payload (4-byte aligned)
 //! ```
 //!
-//! A v3 sender compresses each chunk with [`crate::compress`] and falls
-//! back to a stored block (bit 1 clear, wire payload = raw payload)
-//! whenever compression would not shrink the chunk — incompressible
-//! data never expands beyond the fixed 4-byte `raw_len` overhead. The
-//! CRC always covers the bytes actually on the wire, so the transport
-//! can verify integrity *before* spending decompression work, and a
-//! corrupt compressed chunk is caught exactly like a corrupt stored one.
+//! [`frame_chunk_v3`] compresses a chunk with [`crate::compress()`] and
+//! falls back to a stored block (bit 1 clear, wire payload = raw payload)
+//! whenever compression would not shrink it — incompressible data never
+//! expands beyond the fixed 4-byte `raw_len` overhead.
+//! [`frame_chunk_v3_stored`] builds that same stored block without
+//! calling the compressor; a sender uses it for chunks it has decided
+//! not to try (the per-stream backoff in `hpm-net`). Both are pure
+//! functions of their arguments, so a stream's frames depend only on
+//! its chunk sequence. The CRC always covers the bytes actually on the
+//! wire, so the transport can verify integrity *before* spending
+//! decompression work, and a corrupt compressed chunk is caught exactly
+//! like a corrupt stored one.
+//!
+//! No sender frames a chunk larger than [`MAX_CHUNK_BYTES`], and the
+//! decoder refuses a v3 `raw_len` above it before allocating anything:
+//! the header word is not covered by the CRC, so its value is never
+//! trusted as an allocation size.
 //!
 //! [`unframe_chunk_any`] decodes both versions — receiver-side
 //! auto-detection by magic is the negotiation mechanism, so a v3 sender
@@ -60,15 +70,55 @@ pub const CHUNK_FLAG_LAST: u32 = 1;
 /// Flag bit (v3 only) marking a chunk whose wire payload is compressed.
 pub const CHUNK_FLAG_COMPRESSED: u32 = 2;
 
+/// Largest chunk payload, in raw (pre-compression) bytes, that any
+/// sender frames and any receiver accepts. A v3 frame declaring a
+/// larger `raw_len` is rejected before its payload is expanded.
+pub const MAX_CHUNK_BYTES: usize = 16 << 20;
+
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of `data` — the per-chunk
-/// integrity check every frame carries.
+/// integrity check every frame carries. Slicing-by-8: eight bytes per
+/// step through eight derived tables, then the bytewise loop for the
+/// tail.
 pub fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
+    let t = &CRC32_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
+}
+
+/// `CRC32_TABLES[0]` is the bytewise table; `CRC32_TABLES[k][i]` is the
+/// CRC state after byte `i` is followed by `k` zero bytes.
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    tables[0] = crc32_table();
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
 }
 
 const fn crc32_table() -> [u32; 256] {
@@ -110,11 +160,21 @@ pub fn frame_chunk_v2(seq: u32, last: bool, payload: &[u8]) -> Vec<u8> {
 /// account raw-vs-wire volume without re-parsing their own frames.
 pub fn frame_chunk_v3(seq: u32, last: bool, payload: &[u8]) -> (Vec<u8>, usize) {
     let comp = compress(payload);
-    let (wire, compressed): (&[u8], bool) = if comp.len() < payload.len() {
-        (&comp, true)
+    if comp.len() < payload.len() {
+        (put_v3(seq, last, true, payload.len(), &comp), comp.len())
     } else {
-        (payload, false)
-    };
+        (frame_chunk_v3_stored(seq, last, payload), payload.len())
+    }
+}
+
+/// Frame one chunk with the v3 layout as a stored block, without trying
+/// the compressor. The frame is byte-identical to what
+/// [`frame_chunk_v3`] produces for a payload that does not compress.
+pub fn frame_chunk_v3_stored(seq: u32, last: bool, payload: &[u8]) -> Vec<u8> {
+    put_v3(seq, last, false, payload.len(), payload)
+}
+
+fn put_v3(seq: u32, last: bool, compressed: bool, raw_len: usize, wire: &[u8]) -> Vec<u8> {
     let mut flags = if last { CHUNK_FLAG_LAST } else { 0 };
     if compressed {
         flags |= CHUNK_FLAG_COMPRESSED;
@@ -123,10 +183,10 @@ pub fn frame_chunk_v3(seq: u32, last: bool, payload: &[u8]) -> (Vec<u8>, usize) 
     enc.put_u32(CHUNK_MAGIC_V3);
     enc.put_u32(seq);
     enc.put_u32(flags);
-    enc.put_u32(payload.len() as u32);
+    enc.put_u32(raw_len as u32);
     enc.put_u32(crc32(wire));
     enc.put_opaque_var(wire);
-    (enc.into_bytes(), wire.len())
+    enc.into_bytes()
 }
 
 /// One decoded chunk frame, any version.
@@ -163,13 +223,15 @@ impl ChunkFrame {
 
     /// The decoded (post-decompression) payload. For stored frames this
     /// is the wire payload as-is; for compressed v3 frames the token
-    /// stream is expanded and checked against the declared `raw_len`.
+    /// stream is expanded and checked against the declared `raw_len`,
+    /// which must not exceed [`MAX_CHUNK_BYTES`].
     pub fn into_payload(self) -> Result<Vec<u8>, XdrError> {
         if !self.compressed {
             return Ok(self.payload);
         }
-        let raw_len = self.raw_len.unwrap_or(0) as usize;
-        decompress(&self.payload, raw_len)
+        let raw_len = self.raw_len.unwrap_or(0);
+        check_raw_len(raw_len)?;
+        decompress(&self.payload, raw_len as usize)
     }
 }
 
@@ -178,8 +240,9 @@ impl ChunkFrame {
 /// retransmittable) from "unparseable frame", and the payload stays
 /// compressed so verification precedes decompression.
 ///
-/// Rejects bad magic, unknown flag bits, and trailing bytes after the
-/// payload — a frame is a complete message, never a prefix of one.
+/// Rejects bad magic, unknown flag bits, a `raw_len` above
+/// [`MAX_CHUNK_BYTES`], and trailing bytes after the payload — a frame
+/// is a complete message, never a prefix of one.
 pub fn unframe_chunk_any(frame: &[u8]) -> Result<ChunkFrame, XdrError> {
     let mut dec = XdrDecoder::new(frame);
     let magic = dec.get_u32()?;
@@ -197,7 +260,9 @@ pub fn unframe_chunk_any(frame: &[u8]) -> Result<ChunkFrame, XdrError> {
         return Err(XdrError::BadMagic(flags));
     }
     let raw_len = if magic == CHUNK_MAGIC_V3 {
-        Some(dec.get_u32()?)
+        let raw_len = dec.get_u32()?;
+        check_raw_len(raw_len)?;
+        Some(raw_len)
     } else {
         None
     };
@@ -214,6 +279,15 @@ pub fn unframe_chunk_any(frame: &[u8]) -> Result<ChunkFrame, XdrError> {
         compressed: flags & CHUNK_FLAG_COMPRESSED != 0,
         raw_len,
     })
+}
+
+/// Refuse a declared raw size no sender produces, before it can size an
+/// allocation.
+fn check_raw_len(raw_len: u32) -> Result<(), XdrError> {
+    if raw_len as usize > MAX_CHUNK_BYTES {
+        return Err(XdrError::LengthTooLarge(raw_len));
+    }
+    Ok(())
 }
 
 /// An ARQ control message, sent on the reverse direction of the link.
@@ -373,6 +447,43 @@ mod tests {
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
     }
 
+    /// The bytewise loop `crc32` replaced: one table lookup per byte.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        const TABLE: [u32; 256] = crc32_table();
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_slicing_matches_the_bytewise_reference() {
+        // xorshift64, fixed seed: the same 1 KiB + 8 bytes every run.
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        let data: Vec<u8> = (0..1024 + 8)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                s as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=1024 {
+                let slice = &data[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+        for v in [&b"123456789"[..], b"", b"a"] {
+            assert_eq!(crc32(v), crc32_bytewise(v));
+        }
+    }
+
     #[test]
     fn v2_roundtrip_carries_verified_crc() {
         let payload = vec![7u8; 33];
@@ -517,6 +628,49 @@ mod tests {
         assert_eq!(f.raw_len, Some(payload.len() as u32));
         assert!(f.verify_crc().is_ok());
         assert_eq!(f.into_payload().unwrap(), payload);
+    }
+
+    #[test]
+    fn v3_stored_frame_equals_the_incompressible_fallback() {
+        for payload in [&[][..], &[1, 2, 3][..], &[0x5A, 0xC3, 0x0F, 0x96, 0x3C]] {
+            let (frame, wire_len) = frame_chunk_v3(4, true, payload);
+            assert_eq!(wire_len, payload.len(), "{payload:?} must not compress");
+            assert_eq!(frame_chunk_v3_stored(4, true, payload), frame);
+        }
+        // A compressible payload stored anyway still round-trips.
+        let zeros = vec![0u8; 4096];
+        let f = unframe_chunk_any(&frame_chunk_v3_stored(9, false, &zeros)).unwrap();
+        assert!(!f.compressed);
+        assert_eq!(f.raw_len, Some(4096));
+        assert!(f.verify_crc().is_ok());
+        assert_eq!(f.into_payload().unwrap(), zeros);
+    }
+
+    /// A v3 frame whose CRC is valid but whose `raw_len` header word was
+    /// forged to about 2 GiB must be refused by the bound check, before
+    /// the decompressor could size its output buffer from it.
+    #[test]
+    fn forged_two_gib_raw_len_is_rejected_before_allocation() {
+        let forged = 0x7FFF_FFF0u32;
+        let (mut frame, wire_len) = frame_chunk_v3(5, false, &[0u8; 4096]);
+        assert!(wire_len < 4096, "the payload must go out compressed");
+        frame[12..16].copy_from_slice(&forged.to_be_bytes());
+        assert_eq!(
+            unframe_chunk_any(&frame),
+            Err(XdrError::LengthTooLarge(forged))
+        );
+
+        // The same frame, decoded with the header left intact, then
+        // given the forged size: `into_payload` refuses it too.
+        frame[12..16].copy_from_slice(&4096u32.to_be_bytes());
+        let mut f = unframe_chunk_any(&frame).unwrap();
+        assert!(f.compressed && f.verify_crc().is_ok());
+        f.raw_len = Some(forged);
+        assert_eq!(f.into_payload(), Err(XdrError::LengthTooLarge(forged)));
+
+        // The limit itself is a legal declaration.
+        frame[12..16].copy_from_slice(&(MAX_CHUNK_BYTES as u32).to_be_bytes());
+        assert!(unframe_chunk_any(&frame).is_ok());
     }
 
     #[test]

@@ -9,10 +9,11 @@
 
 use hpm::arch::Architecture;
 use hpm::migrate::{
-    migrate, run_migrating, run_to_migration, MigrationPlan, Obs, Planning, Route, Trigger,
+    migrate, run_migrating, run_to_migration, MigrationPlan, Obs, PipelineConfig, Planning, Route,
+    Trigger,
 };
 use hpm::net::{channel_pair, ChunkReceiver, ChunkSender, NetworkModel, WireCodec};
-use hpm::workloads::TestPointer;
+use hpm::workloads::{Linpack, TestPointer};
 
 fn presets() -> [Architecture; 4] {
     [
@@ -112,5 +113,63 @@ fn every_preset_pair_roundtrips_stored_and_compressed() {
                 }
             }
         }
+    }
+}
+
+/// The codec decision explains itself. A mid-factor linpack image,
+/// whose chunks shrink by only a few percent, is shipped over the
+/// pipelined route with v3 framing. Its report says the v3 sender
+/// skipped most chunks, and its flight dump names each backoff. The
+/// answers still match the stored run.
+#[test]
+fn incompressible_stream_reports_its_codec_backoff() {
+    let make = || Linpack::truncated(200, 4);
+    // A little-endian source, so the collector converts every cell and
+    // flushes at the 4 KiB watermark.
+    let (src, dst) = (Architecture::dec5000(), Architecture::sparc20());
+    let route = |codec| {
+        Route::Pipelined(PipelineConfig {
+            chunk_bytes: 4096,
+            pace: false,
+            pace_scale: 0.0,
+            codec,
+        })
+    };
+    let run = |codec| {
+        let obs = Obs::default();
+        let run = migrate(
+            make,
+            src.clone(),
+            dst.clone(),
+            NetworkModel::instant(),
+            Trigger::AtPollCount(2),
+            route(codec),
+            &obs,
+        )
+        .unwrap();
+        (run, obs.recorder.dump())
+    };
+    let (stored, _) = run(WireCodec::V2);
+    let (v3, dump) = run(WireCodec::V3);
+    assert_eq!(v3.results, stored.results);
+    let t = &v3.report.transfer;
+    assert_eq!(stored.report.transfer.chunks_compress_skipped, 0);
+    assert!(
+        t.chunks_compress_skipped * 2 > t.messages_sent,
+        "{} of {} frames skipped",
+        t.chunks_compress_skipped,
+        t.messages_sent
+    );
+    assert!(v3.report.render().contains("chunks_compress_skipped"));
+    let backoffs = dump.events_of("codec.backoff");
+    assert!(!backoffs.is_empty());
+    for (_, e) in backoffs {
+        let arg = |k: &str| e.args.iter().find(|a| a.0 == k).map(|a| a.1).unwrap();
+        assert!(
+            arg("wire") * 8 > arg("raw") * 7,
+            "a paying chunk backed off"
+        );
+        assert!((1..=16).contains(&arg("skip")));
+        assert!(arg("chunk") < t.messages_sent);
     }
 }
