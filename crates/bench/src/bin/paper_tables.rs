@@ -220,7 +220,11 @@ fn wire() {
             secs(r.seq_restore),
             secs(r.par_restore),
             speedup,
-            if r.adaptive_compressed { "v3" } else { "v2" },
+            if r.adaptive_compressed {
+                "v3"
+            } else {
+                "stored"
+            },
             r.adaptive_workers,
             r.restored_identical && r.par_restore_identical
         );

@@ -22,9 +22,9 @@ pub mod harness;
 use hpm_arch::Architecture;
 use hpm_core::SearchStrategy;
 use hpm_migrate::{
-    migrate, resume_from_image, run_migrating, run_migrating_precopy, run_straight,
-    run_to_migration, FallbackPolicy, MigratedSource, MigrationPlan, MigrationRun, Obs,
-    PipelineConfig, Planning, PrecopyConfig, RecoveryPolicy, Route, Trigger, PARALLEL_BYTES_CUTOFF,
+    migrate, resume_from_image, run_migrating, run_straight, run_to_migration, FallbackPolicy,
+    MigratedSource, MigrationPlan, MigrationRun, Obs, PipelineConfig, Planning, PrecopyConfig,
+    RecoveryPolicy, Route, Trigger, PARALLEL_BYTES_CUTOFF,
 };
 use hpm_net::{FaultPlan, NetworkModel, WireCodec};
 use hpm_obs::{FlightRecorder, Tracer};
@@ -904,8 +904,8 @@ pub struct DeltaRow {
     /// The program finished on the source before any round froze —
     /// a misconfigured row, gated to `false`.
     pub completed_on_source: bool,
-    /// Wall time of the freeze leg (final collect through restored) —
-    /// report-only.
+    /// Wall time of the freeze leg (the final round's source freeze
+    /// through the destination's last restored frame) — report-only.
     pub freeze_time: Duration,
 }
 
@@ -948,16 +948,20 @@ fn delta_row(
     cfg: PrecopyConfig,
     expected: &[(String, String)],
 ) -> DeltaRow {
-    let run = run_migrating_precopy(
+    let run = migrate(
         || BitonicSort::new(n),
         src.clone(),
         dst.clone(),
         NetworkModel::ethernet_100(),
         Trigger::AtPollCount(n / 4),
-        cfg,
+        Route::Precopy {
+            config: cfg,
+            faults: None,
+        },
+        &Obs::default(),
     )
     .expect("pre-copy migration");
-    let s = &run.stats;
+    let s = run.report.precopy.as_ref().expect("pre-copy stats");
     DeltaRow {
         label: label.to_string(),
         src: arch_tag(src).to_string(),

@@ -8,15 +8,18 @@
 //! Every migration runs through [`migrate`]: the source runs to its
 //! migration point and passes the registry audit, then the [`Route`]
 //! decides how the image travels — as one message ([`Route::Image`]), as
-//! planned chunks ([`Route::Planned`]), or streamed while collection is
-//! still running ([`Route::Pipelined`], [`Route::Resilient`]). All routes
-//! open the destination the same way and fill in the same report.
+//! planned chunks ([`Route::Planned`]), streamed while collection is
+//! still running ([`Route::Pipelined`], [`Route::Resilient`]), or as
+//! pre-copy rounds while the program keeps running ([`Route::Precopy`]).
+//! All routes open the destination the same way and fill in the same
+//! report.
 
 use crate::ctx::{
     collect_pending, collect_pending_parallel, collect_pending_streamed, pending_exec_state,
     MigCtx, MigratableProgram, PendingFrame,
 };
 use crate::exec::ExecutionState;
+use crate::precopy::{precopy, PrecopyConfig, PrecopyStats};
 use crate::process::{Process, Trigger};
 use crate::{Flow, MigError};
 use hpm_arch::Architecture;
@@ -94,6 +97,8 @@ pub struct MigrationReport {
     /// Flight-recorder dump captured when the run hit a fallback path;
     /// `None` for clean runs (the recorder stays bounded and unread).
     pub flight: Option<FlightDump>,
+    /// Round accounting, for [`Route::Precopy`]; `None` otherwise.
+    pub precopy: Option<PrecopyStats>,
 }
 
 impl MigrationReport {
@@ -124,6 +129,9 @@ impl MigrationReport {
         }
         if let Some(r) = &self.resume {
             groups.push(snapshot(r));
+        }
+        if let Some(p) = &self.precopy {
+            groups.push(snapshot(p));
         }
         if let Some(a) = &self.registry_audit {
             groups.push(snapshot(a));
@@ -186,6 +194,20 @@ pub enum Route {
         /// Retry budget, ladder switches and fallback.
         policy: RecoveryPolicy,
     },
+    /// Iterative pre-copy: round 0 ships the full image while the source
+    /// keeps running, each later round ships only the blocks the program
+    /// dirtied since, and the final delta ships frozen (see
+    /// [`crate::precopy`]). The report's Collect, Tx and Restore describe
+    /// that freeze leg.
+    Precopy {
+        /// Round budget, convergence threshold and ARQ chunk size.
+        config: PrecopyConfig,
+        /// `None` ships each round's frame as one channel message; a plan
+        /// chunks it over an ARQ stream behind this fault injector (the
+        /// engine's rung-1 ARQ, [`ArqConfig::default`]). The plan must
+        /// describe a live link: no disconnect, no crash.
+        faults: Option<FaultPlan>,
+    },
 }
 
 impl Route {
@@ -196,6 +218,7 @@ impl Route {
             Route::Pipelined(config) | Route::Resilient { config, .. } => {
                 check_chunk_bytes(config.chunk_bytes)
             }
+            Route::Precopy { config, .. } => check_chunk_bytes(config.chunk_bytes),
             Route::Image | Route::Planned(_) => Ok(()),
         }
     }
@@ -203,7 +226,7 @@ impl Route {
 
 /// Refuse a chunk size above [`MAX_CHUNK_BYTES`], the largest chunk a
 /// receiver accepts.
-pub(crate) fn check_chunk_bytes(chunk_bytes: usize) -> Result<(), MigError> {
+fn check_chunk_bytes(chunk_bytes: usize) -> Result<(), MigError> {
     if chunk_bytes > MAX_CHUNK_BYTES {
         return Err(MigError::Net(format!(
             "chunk_bytes {chunk_bytes} exceeds the {MAX_CHUNK_BYTES}-byte chunk limit"
@@ -270,6 +293,9 @@ pub fn migrate<P: MigratableProgram>(
                 Some((faults, policy)),
                 obs,
             ),
+            Route::Precopy { config, faults } => {
+                precopy(&make, frozen, dst_arch, link, config, faults, obs)
+            }
         });
     let mut run = run.inspect_err(|_| persist_flight_dump(&obs.recorder.dump()))?;
     if let Some(dump) = &run.report.flight {
@@ -347,7 +373,7 @@ fn persist_flight_dump(dump: &FlightDump) {
 
 /// The report fields every route fills the same way; route-specific
 /// groups (`pipeline`, `recovery`, `plan`, …) start out `None`.
-fn build_report(
+pub(crate) fn build_report(
     src: &Process,
     chain_depth: usize,
     audit: RegistryAuditStats,
@@ -378,6 +404,7 @@ fn build_report(
         plan: None,
         resume: None,
         flight: None,
+        precopy: None,
     }
 }
 
@@ -487,7 +514,7 @@ pub(crate) fn open_destination<P: MigratableProgram>(
 }
 
 /// [`open_destination`] with no trigger armed: the program must finish.
-fn resume<P: MigratableProgram>(
+pub(crate) fn resume<P: MigratableProgram>(
     program: &mut P,
     arch: Architecture,
     image: &[u8],
@@ -709,7 +736,7 @@ pub fn plan_migration(registered_bytes: u64, requested_workers: usize) -> Migrat
     let codec = if registered_bytes >= COMPRESS_BYTES_CUTOFF {
         WireCodec::V3
     } else {
-        WireCodec::V2
+        WireCodec::Stored
     };
     MigrationPlan {
         registered_bytes,
@@ -791,31 +818,8 @@ fn monolithic<P: MigratableProgram>(
     // --- ship: through a modeled channel, so the Tx column comes from
     // the same accounting every route uses ---
     obs.tracer.begin("tx");
-    let (src_end, dst_end) = channel_pair(link);
-    let src_end = src_end.with_tracer(obs.tracer.clone());
-    let dst_end = dst_end.with_tracer(obs.tracer.clone());
-    let image = match plan {
-        None => {
-            src_end.send(image)?;
-            dst_end.recv()?
-        }
-        // Fixed-size chunks so the plan's codec applies per frame;
-        // concatenating them reproduces the image byte-for-byte.
-        Some(plan) => {
-            let mut sender = ChunkSender::new(&src_end).with_codec(plan.codec);
-            for part in image.chunks(WIRE_CHUNK_BYTES) {
-                sender.send(part)?;
-            }
-            sender.finish()?;
-            let mut rx = ChunkReceiver::new(dst_end);
-            let mut shipped = Vec::with_capacity(image.len());
-            while let Some(chunk) = rx.recv_chunk()? {
-                shipped.extend_from_slice(&chunk);
-            }
-            shipped
-        }
-    };
-    let transfer = src_end.stats().snapshot();
+    let carrier = plan.map_or(Carrier::Message, |plan| Carrier::Chunks(plan.codec));
+    let (image, transfer, _) = ship(image, link, carrier, &obs.tracer)?;
     obs.tracer
         .end_args("tx", &[("modeled_ns", transfer.modeled_tx_nanos as f64)]);
     driver.event(
@@ -858,6 +862,123 @@ fn monolithic<P: MigratableProgram>(
     })
 }
 
+/// How [`ship`] carries bytes to the destination.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Carrier {
+    /// One channel message ([`Route::Image`]; [`Route::Precopy`] on a
+    /// clean link).
+    Message,
+    /// [`WIRE_CHUNK_BYTES`] chunks framed under a codec
+    /// ([`Route::Planned`]).
+    Chunks(WireCodec),
+    /// `chunk_bytes` chunks of a compressed ARQ stream behind the fault
+    /// injector, under the engine's rung-1 [`ArqConfig::default`]
+    /// ([`Route::Precopy`] over a faulty link).
+    Arq {
+        faults: FaultPlan,
+        chunk_bytes: usize,
+    },
+}
+
+/// The ship step of the monolithic routes and of every pre-copy round:
+/// carry `bytes` over a fresh modeled channel on `link`. Returns the
+/// bytes the destination received, the sender's transfer accounting (the
+/// Tx column), and — over ARQ — the recovery counters.
+pub(crate) fn ship(
+    bytes: Vec<u8>,
+    link: NetworkModel,
+    carrier: Carrier,
+    tracer: &Tracer,
+) -> Result<(Vec<u8>, TransferSnapshot, Option<RecoveryStats>), MigError> {
+    let (src_end, dst_end) = channel_pair(link);
+    let src_end = src_end.with_tracer(tracer.clone());
+    let dst_end = dst_end.with_tracer(tracer.clone());
+    match carrier {
+        Carrier::Message => {
+            src_end.send(bytes)?;
+            let got = dst_end.recv()?;
+            Ok((got, src_end.stats().snapshot(), None))
+        }
+        // Fixed-size chunks so the codec applies per frame;
+        // concatenating them reproduces the bytes exactly.
+        Carrier::Chunks(codec) => {
+            let mut sender = ChunkSender::new(&src_end).with_codec(codec);
+            for part in bytes.chunks(WIRE_CHUNK_BYTES) {
+                sender.send(part)?;
+            }
+            sender.finish()?;
+            let got = WireRx::Plain(ChunkReceiver::new(dst_end)).drain(bytes.len())?;
+            Ok((got, src_end.stats().snapshot(), None))
+        }
+        Carrier::Arq {
+            faults,
+            chunk_bytes,
+        } => {
+            let arq = ArqConfig::default();
+            let rx = ReliableChunkReceiver::new(dst_end, arq);
+            let counters = rx.counters();
+            let tx = ReliableChunkSender::new(FaultyEndpoint::new(src_end, faults), arq)
+                .with_codec(WireCodec::V3);
+            let (chunk_tx, chunk_rx) = std::sync::mpsc::channel();
+            for part in bytes.chunks(chunk_bytes.max(1)) {
+                let _ = chunk_tx.send(part.to_vec());
+            }
+            drop(chunk_tx);
+            // Unpaced: a round's Tx is the modeled time, like the
+            // monolithic routes'.
+            let config = PipelineConfig {
+                pace: false,
+                ..PipelineConfig::default()
+            };
+            let no_crash = AtomicBool::new(false);
+            std::thread::scope(|s| {
+                let wire = s.spawn(|| {
+                    let tx = WireTx::Arq(Box::new(tx), None);
+                    run_wire(tx, chunk_rx, link, config, &no_crash)
+                });
+                let mut rx = WireRx::Arq(rx);
+                let received = rx.drain(bytes.len()).map_err(MigError::from);
+                // On clean completion `rx` must outlive the sender:
+                // `finish()` still flushes reorder-held frames and drains
+                // final acks after the receiver has consumed LAST. A
+                // failed receiver is dropped now, so a sender stuck on a
+                // full window fails fast instead of burning its retry
+                // budget against a dead peer.
+                if received.is_err() {
+                    drop(rx);
+                }
+                let wire = wire
+                    .join()
+                    .map_err(|_| MigError::Protocol("wire thread panicked".into()))?;
+                let ((), got) = settle(Ok(()), received, wire.err.as_ref())?;
+                let recovery =
+                    RecoveryStats::from_parts(wire.sender, counters.snapshot(), wire.faults);
+                Ok((got, wire.transfer, Some(recovery)))
+            })
+        }
+    }
+}
+
+/// Error priority for one transfer: a collection failure that is not a
+/// mere sink disconnect is the root cause; exhausted retries come next
+/// even though the destination also sees the link die; then the
+/// receiving side's error, which explains why the sink vanished; only
+/// then a wire failure or the bare disconnect.
+fn settle<C, R>(
+    collected: Result<C, MigError>,
+    received: Result<R, MigError>,
+    wire_err: Option<&NetError>,
+) -> Result<(C, R), MigError> {
+    match (collected, received, wire_err) {
+        (Err(e), _, _) if !matches!(&e, MigError::Core(m) if m.contains(SINK_GONE)) => Err(e),
+        (_, _, Some(e @ NetError::RetriesExhausted { .. })) => Err(e.clone().into()),
+        (_, Err(e), _) => Err(e),
+        (_, Ok(_), Some(e)) => Err(e.clone().into()),
+        (Err(e), Ok(_), None) => Err(e),
+        (Ok(c), Ok(r), None) => Ok((c, r)),
+    }
+}
+
 /// Tunables for the streamed routes ([`Route::Pipelined`],
 /// [`Route::Resilient`]).
 #[derive(Debug, Clone, Copy)]
@@ -872,7 +993,7 @@ pub struct PipelineConfig {
     /// Scale on the per-chunk pacing sleep (`0.01` runs a 10 Mb/s
     /// experiment 100× faster while preserving relative timing).
     pub pace_scale: f64,
-    /// Frame codec for the chunk stream (default v2/stored; pass
+    /// Frame codec for the chunk stream (default stored; pass
     /// [`WireCodec::V3`] to compress each chunk on the wire).
     pub codec: WireCodec,
 }
@@ -1024,6 +1145,15 @@ impl WireRx {
             WireRx::Plain(rx) => rx.recv_chunk(),
             WireRx::Arq(rx) => rx.recv_chunk(),
         }
+    }
+
+    /// Receive the rest of the stream, concatenated.
+    fn drain(&mut self, capacity: usize) -> Result<Vec<u8>, NetError> {
+        let mut got = Vec::with_capacity(capacity);
+        while let Some(chunk) = self.recv_chunk()? {
+            got.extend_from_slice(&chunk);
+        }
+        Ok(got)
     }
 }
 
@@ -1365,19 +1495,8 @@ fn stream_attempt<P: MigratableProgram>(
             .join()
             .map_err(|_| MigError::Protocol("wire thread panicked".into()))?;
 
-        // Error priority: a collection failure that is not a mere sink
-        // disconnect is the root cause; exhausted retries come next even
-        // though the destination also sees the link die; then the
-        // receiving side's error, which explains why the sink vanished;
-        // only then a wire failure or the bare disconnect.
-        let result = match (collect_res, dst_res, &wire.err) {
-            (Err(e), _, _) if !matches!(&e, MigError::Core(m) if m.contains(SINK_GONE)) => Err(e),
-            (_, _, Some(e @ NetError::RetriesExhausted { .. })) => Err(e.clone().into()),
-            (_, Err(e), _) => Err(e),
-            (_, Ok(_), Some(e)) => Err(e.clone().into()),
-            (Err(e), Ok(_), None) => Err(e),
-            (Ok((_, collected)), Ok(restored), None) => Ok((restored, collected)),
-        };
+        let result = settle(collect_res, dst_res, wire.err.as_ref())
+            .map(|((_, collected), restored)| (restored, collected));
         Ok(AttemptOutcome {
             collect_time,
             wire,
@@ -2162,12 +2281,20 @@ mod tests {
             ..quick_cfg()
         };
         let refused = |r: Result<(), MigError>| matches!(r, Err(MigError::Net(m)) if m.contains("chunk limit"));
+        let precopy = crate::PrecopyConfig {
+            chunk_bytes: cfg.chunk_bytes,
+            ..crate::PrecopyConfig::default()
+        };
         for route in [
             Route::Pipelined(cfg),
             Route::Resilient {
                 config: cfg,
                 faults: FaultPlan::none(),
                 policy: quick_policy(),
+            },
+            Route::Precopy {
+                config: precopy,
+                faults: None,
             },
         ] {
             let r = migrate(
@@ -2181,18 +2308,6 @@ mod tests {
             );
             assert!(refused(r.map(|_| ())), "{route:?}");
         }
-        let r = crate::run_migrating_precopy(
-            || Summer::new(50),
-            Architecture::dec5000(),
-            Architecture::sparc20(),
-            hpm_net::NetworkModel::instant(),
-            Trigger::AtPollCount(25),
-            crate::PrecopyConfig {
-                chunk_bytes: hpm_xdr::MAX_CHUNK_BYTES + 1,
-                ..crate::PrecopyConfig::default()
-            },
-        );
-        assert!(refused(r.map(|_| ())));
     }
 
     #[test]

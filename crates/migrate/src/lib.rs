@@ -56,10 +56,7 @@ pub use driver::{
 };
 pub use exec::{ExecutionState, FrameState};
 pub use hpm_obs::Obs;
-pub use precopy::{
-    resume_to_migration, run_migrating_precopy, run_migrating_precopy_faulty, PrecopyConfig,
-    PrecopyRun, PrecopyStats, ResumeFlow,
-};
+pub use precopy::{resume_to_migration, PrecopyConfig, PrecopyStats, ResumeFlow};
 pub use process::{Process, Trigger};
 pub use sched::{Job, SchedStats, Scheduler, SimMachine};
 

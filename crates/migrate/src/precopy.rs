@@ -1,16 +1,22 @@
-//! Iterative pre-copy migration: ship deltas while the program runs,
-//! freeze only for the last one.
+//! Iterative pre-copy migration ([`crate::Route::Precopy`]): ship deltas
+//! while the program runs, freeze only for the last one.
 //!
-//! The classic stop-and-copy routes of [`crate::migrate`] freeze the
-//! source for the *entire* collect → ship → restore pipeline. Pre-copy
-//! shrinks the freeze window: round 0 ships a full image while keeping
-//! the logical clock running, then each later round resumes the program
-//! for a slice of polls, re-digests its live blocks
-//! ([`hpm_core::block_digests`]), and ships only the delta against the
-//! previously shipped state ([`hpm_core::collect_delta`]). When the
-//! dirty fraction converges below a threshold — or the round cap hits —
-//! the final delta ships *frozen* and the destination resumes. Only
-//! that last leg counts as freeze time.
+//! The stop-and-copy routes freeze the source for the *entire* collect →
+//! ship → restore pipeline. Pre-copy shrinks the freeze window: round 0
+//! ships a full image while keeping the logical clock running, then each
+//! later round resumes the program for a slice of polls, re-digests its
+//! live blocks ([`hpm_core::block_digests`]), and ships only the delta
+//! against the previously shipped state ([`hpm_core::collect_delta`]).
+//! When the dirty fraction converges below a threshold — or the round
+//! cap hits — the final delta ships *frozen* and the destination
+//! resumes. Only that last leg counts as freeze time.
+//!
+//! The source first freezes through the engine's `freeze`, so a
+//! pre-copy run passes the same registry audit as every other route.
+//! Each round's HPMG frame ships through the engine's ship step: as one
+//! channel message on a clean link, or chunked over the same ARQ stack
+//! and error triage [`crate::Route::Resilient`] uses, behind a fault
+//! injector.
 //!
 //! The destination applies every frame through
 //! [`hpm_core::apply_delta`], reconstructing each round's image
@@ -20,29 +26,24 @@
 //! ([`hpm_core::CoreError::DeltaBaseMismatch`]) and the sender falls
 //! back to a full image — the degradation ladder's bottom rung is
 //! always the plain stop-and-copy frame.
-//!
-//! Frames travel either over a plain modeled channel or chunked through
-//! the ARQ stack over a faulty link ([`run_migrating_precopy_faulty`]),
-//! so the pre-copy protocol composes with the same loss/corruption
-//! recovery [`crate::Route::Resilient`] uses.
 
 use std::time::{Duration, Instant};
 
 use hpm_arch::Architecture;
 use hpm_core::delta::{
     apply_delta, block_digests, collect_delta, diff_manifest, full_image_frame, BaseImageManifest,
+    BlockDigest, RetainedBase,
 };
-use hpm_core::CoreError;
-use hpm_net::{
-    channel_pair, ArqConfig, FaultPlan, FaultStats, FaultyEndpoint, NetError, NetworkModel,
-    ReliableChunkReceiver, ReliableChunkSender, TransferSnapshot, WireCodec,
-};
+use hpm_core::image::frame_image;
+use hpm_core::{CollectStats, CoreError, RegistryAuditStats};
+use hpm_net::{FaultPlan, NetworkModel, TransferSnapshot};
+use hpm_obs::{Obs, StatField, StatGroup};
 use hpm_xdr::journal::image_id;
 
 use crate::ctx::MigratableProgram;
 use crate::driver::{
-    check_chunk_bytes, open_destination, resume_from_image, run_to_migration, Dst, MigratedSource,
-    Opened, WIRE_CHUNK_BYTES,
+    build_report, open_destination, resume, ship, Carrier, Dst, Frozen, MigratedSource,
+    MigrationRun, Opened, RecoveryStats, Restored, WIRE_CHUNK_BYTES,
 };
 use crate::process::{Process, Trigger};
 use crate::MigError;
@@ -57,7 +58,7 @@ pub enum ResumeFlow {
 }
 
 /// Resume a program from a migration image with a live trigger armed:
-/// the pre-copy building block. Unlike [`resume_from_image`], the
+/// the pre-copy building block. Unlike [`crate::resume_from_image`], the
 /// resumed process may migrate *again* — that is the expected outcome of
 /// every intermediate round.
 ///
@@ -125,8 +126,8 @@ pub struct PrecopyStats {
     pub full_bytes: u64,
     /// Bytes shipped while frozen (the final round's frames).
     pub freeze_bytes: u64,
-    /// Wall time of the freeze leg: final delta collection through the
-    /// destination's completed restore.
+    /// Wall time of the freeze leg: from the moment the final round's
+    /// source froze to the destination's last `restore_frame`.
     pub freeze_time: Duration,
     /// The dirty fraction dropped below threshold (vs. round-cap hit).
     pub converged: bool,
@@ -147,325 +148,244 @@ pub struct PrecopyStats {
     pub wire_bytes: u64,
 }
 
-/// A completed pre-copy migration: stats, the destination's (or, when
-/// the program finished early, the source's) results, and the freeze
-/// round's transfer snapshot.
-#[derive(Debug)]
-pub struct PrecopyRun {
-    /// Per-round measurements.
-    pub stats: PrecopyStats,
-    /// The program's final answers.
-    pub results: Vec<(String, String)>,
-    /// Channel accounting for the last shipped frame.
-    pub transfer: Option<TransferSnapshot>,
-    /// Fault-injection counters summed over all rounds (ARQ path only).
-    pub faults: Option<FaultStats>,
+impl StatGroup for PrecopyStats {
+    fn group(&self) -> &'static str {
+        "precopy"
+    }
+
+    fn fields(&self) -> Vec<StatField> {
+        vec![
+            StatField::count("rounds", self.rounds as u64),
+            StatField::bytes("full_bytes", self.full_bytes),
+            StatField::bytes("delta_bytes", self.bytes_per_round.iter().skip(1).sum()),
+            StatField::bytes("freeze_bytes", self.freeze_bytes),
+            StatField::bytes("wire_bytes", self.wire_bytes),
+            StatField::duration("freeze_time", self.freeze_time),
+            StatField::count("converged", self.converged as u64),
+            StatField::count("fallbacks", self.fallbacks as u64),
+            StatField::count("dirty_blocks", self.dirty_blocks),
+            StatField::count("fresh_blocks", self.fresh_blocks),
+            StatField::count("tombstones", self.tombstones),
+            StatField::count("completed_on_source", self.completed_on_source as u64),
+            StatField::count("identity_ok", self.identity_ok as u64),
+        ]
+    }
+
+    fn merge_from(&mut self, other: &Self) {
+        self.rounds += other.rounds;
+        self.bytes_per_round
+            .extend_from_slice(&other.bytes_per_round);
+        self.full_bytes += other.full_bytes;
+        self.freeze_bytes += other.freeze_bytes;
+        self.freeze_time += other.freeze_time;
+        self.converged &= other.converged;
+        self.fallbacks += other.fallbacks;
+        self.dirty_blocks += other.dirty_blocks;
+        self.fresh_blocks += other.fresh_blocks;
+        self.tombstones += other.tombstones;
+        self.completed_on_source |= other.completed_on_source;
+        self.identity_ok &= other.identity_ok;
+        self.wire_bytes += other.wire_bytes;
+    }
 }
 
-/// Frame transport for one pre-copy run: plain modeled channel, or
-/// chunked ARQ over an injected-fault link.
-enum Wire {
-    Plain(NetworkModel),
-    Arq {
-        link: NetworkModel,
-        plan: FaultPlan,
-        arq: ArqConfig,
-        chunk_bytes: usize,
-        faults: FaultStats,
-    },
+/// One round's collection on a frozen source: the framed image, its
+/// block digests, and the collection counters.
+fn collect_round(
+    src: &mut MigratedSource,
+) -> Result<(Vec<u8>, Vec<BlockDigest>, CollectStats), MigError> {
+    let (payload, exec, stats) = src.collect()?;
+    let image = frame_image(&src.proc.image_header(), &exec.encode(), &payload);
+    let digests = block_digests(&mut src.proc.space, &mut src.proc.msrlt)?;
+    Ok((image, digests, stats))
 }
 
-impl Wire {
-    /// Ship one frame source→destination, returning the received bytes
-    /// and the channel snapshot for the trip.
-    fn ship(&mut self, frame: &[u8]) -> Result<(Vec<u8>, TransferSnapshot), MigError> {
-        match self {
-            Wire::Plain(link) => {
-                let (src_end, dst_end) = channel_pair(*link);
-                src_end.send(frame.to_vec())?;
-                let got = dst_end.recv()?;
-                Ok((got, src_end.stats().snapshot()))
-            }
-            Wire::Arq {
-                link,
-                plan,
-                arq,
-                chunk_bytes,
-                faults,
-            } => {
-                let (src_end, dst_end) = channel_pair(*link);
-                let endpoint = FaultyEndpoint::new(src_end, *plan);
-                let mut rx = ReliableChunkReceiver::new(dst_end, *arq);
-                let chunks: Vec<Vec<u8>> = frame
-                    .chunks((*chunk_bytes).max(1))
-                    .map(|c| c.to_vec())
-                    .collect();
-                let arq_cfg = *arq;
-                let (got, snapshot, round_faults) =
-                    std::thread::scope(|s| -> Result<_, MigError> {
-                        let wire = s.spawn(move || {
-                            let mut tx = ReliableChunkSender::new(endpoint, arq_cfg)
-                                .with_codec(WireCodec::V3);
-                            let mut err = None;
-                            for c in &chunks {
-                                if let Err(e) = tx.send(c) {
-                                    err = Some(e);
-                                    break;
-                                }
-                            }
-                            if err.is_none() {
-                                if let Err(e) = tx.finish() {
-                                    err = Some(e);
-                                }
-                            }
-                            let endpoint = tx.into_link();
-                            let faults = endpoint.stats();
-                            let transfer = endpoint.channel().stats().snapshot();
-                            // Dropping the endpoint severs the link and
-                            // unblocks a stalled receiver.
-                            (err, faults, transfer)
-                        });
-                        let mut buf = Vec::with_capacity(frame.len());
-                        let mut rx_err = None;
-                        loop {
-                            match rx.recv_chunk() {
-                                Ok(Some(c)) => buf.extend_from_slice(&c),
-                                Ok(None) => break,
-                                Err(e) => {
-                                    rx_err = Some(e);
-                                    break;
-                                }
-                            }
-                        }
-                        // On clean completion `rx` must outlive the
-                        // sender: `finish()` still flushes reorder-held
-                        // frames and drains final acks after the
-                        // receiver has consumed LAST, and dropping the
-                        // endpoint under it turns that housekeeping into
-                        // a hard `Disconnected`. A failed receiver is
-                        // the opposite case: drop now so a sender stuck
-                        // on a full window fails fast instead of burning
-                        // its retry budget against a dead peer.
-                        if rx_err.is_some() {
-                            drop(rx);
-                        }
-                        let (tx_err, round_faults, transfer) = wire
-                            .join()
-                            .map_err(|_| MigError::Net("pre-copy wire thread panicked".into()))?;
-                        // Triage: exhausted retries are the root cause
-                        // even though the receiver also sees the link
-                        // die; otherwise a receiver failure explains the
-                        // sender's `Disconnected`, not the reverse.
-                        if let Some(e @ NetError::RetriesExhausted { .. }) = &tx_err {
-                            return Err(MigError::Net(format!("pre-copy send: {e}")));
-                        }
-                        if let Some(e) = rx_err {
-                            return Err(MigError::Net(format!("pre-copy recv: {e}")));
-                        }
-                        if let Some(e) = tx_err {
-                            return Err(MigError::Net(format!("pre-copy send: {e}")));
-                        }
-                        Ok((buf, transfer, round_faults))
-                    })?;
-                merge_faults(faults, &round_faults);
-                Ok((got, snapshot))
-            }
+/// What the report says about the last round that shipped.
+#[derive(Clone, Copy)]
+struct Leg {
+    collect: (CollectStats, Duration),
+    image_bytes: u64,
+    transfer: TransferSnapshot,
+}
+
+impl Leg {
+    /// The finished run: this leg's Collect and Tx from source `src`,
+    /// and the Restore and answers of `dst`.
+    fn finish(
+        self,
+        src: &MigratedSource,
+        audit: RegistryAuditStats,
+        dst: Restored,
+        stats: PrecopyStats,
+        recovery: Option<RecoveryStats>,
+    ) -> MigrationRun {
+        let mut report = build_report(
+            &src.proc,
+            src.pending.len(),
+            audit,
+            self.collect,
+            self.image_bytes,
+            self.transfer,
+            &dst,
+        );
+        report.precopy = Some(stats);
+        report.recovery = recovery;
+        MigrationRun {
+            report,
+            results: dst.results,
         }
     }
 }
 
-/// Pre-copy migration over a clean modeled link.
-///
-/// Runs `make()`'s program on `src_arch` until `base_trigger` fires,
-/// ships a full image, then iterates delta rounds per `cfg` until the
-/// dirty set converges (or the round cap hits), ships the final delta
-/// frozen, and resumes the program on `dst_arch` from the destination's
-/// reconstructed image.
-pub fn run_migrating_precopy<P: MigratableProgram>(
-    make: impl Fn() -> P,
-    src_arch: Architecture,
+/// [`crate::Route::Precopy`]: ship the frozen source's full image, then
+/// run delta rounds per `cfg` until the dirty set converges (or the round
+/// cap hits), ship the final delta frozen, and resume the program on
+/// `dst_arch` from the destination's reconstructed image. A program that
+/// completes on the source between rounds returns the source's answers
+/// with `completed_on_source` set; its report's Collect and Tx describe
+/// the last round that shipped.
+pub(crate) fn precopy<P: MigratableProgram>(
+    make: &impl Fn() -> P,
+    frozen: Frozen,
     dst_arch: Architecture,
     link: NetworkModel,
-    base_trigger: Trigger,
     cfg: PrecopyConfig,
-) -> Result<PrecopyRun, MigError> {
-    precopy_inner(
-        make,
-        src_arch,
-        dst_arch,
-        Wire::Plain(link),
-        base_trigger,
-        cfg,
-    )
-}
-
-/// [`run_migrating_precopy`] with every frame chunked through the ARQ
-/// stack over a fault-injected link — the pre-copy soak's entry point.
-/// The fault plan must describe a live link (no permanent disconnect).
-#[allow(clippy::too_many_arguments)]
-pub fn run_migrating_precopy_faulty<P: MigratableProgram>(
-    make: impl Fn() -> P,
-    src_arch: Architecture,
-    dst_arch: Architecture,
-    link: NetworkModel,
-    base_trigger: Trigger,
-    cfg: PrecopyConfig,
-    plan: FaultPlan,
-    arq: ArqConfig,
-) -> Result<PrecopyRun, MigError> {
-    let wire = Wire::Arq {
-        link,
-        plan,
-        arq,
-        chunk_bytes: cfg.chunk_bytes,
-        faults: FaultStats::default(),
+    faults: Option<FaultPlan>,
+    obs: &Obs,
+) -> Result<MigrationRun, MigError> {
+    let Frozen { mut src, audit } = frozen;
+    let src_arch = src.proc.space.arch().clone();
+    let driver = obs.recorder.track("driver");
+    let carrier = match faults {
+        None => Carrier::Message,
+        Some(faults) => Carrier::Arq {
+            faults,
+            chunk_bytes: cfg.chunk_bytes,
+        },
     };
-    precopy_inner(make, src_arch, dst_arch, wire, base_trigger, cfg)
-}
-
-fn precopy_inner<P: MigratableProgram>(
-    make: impl Fn() -> P,
-    src_arch: Architecture,
-    dst_arch: Architecture,
-    mut wire: Wire,
-    base_trigger: Trigger,
-    cfg: PrecopyConfig,
-) -> Result<PrecopyRun, MigError> {
-    check_chunk_bytes(cfg.chunk_bytes)?;
+    let mut recovery: Option<RecoveryStats> = None;
+    let mut ship_frame = |frame| -> Result<(Vec<u8>, TransferSnapshot), MigError> {
+        let (got, transfer, round) = ship(frame, link, carrier, &obs.tracer)?;
+        if let Some(r) = round {
+            recovery.get_or_insert_with(Default::default).merge_from(&r);
+        }
+        Ok((got, transfer))
+    };
     let mut stats = PrecopyStats {
         identity_ok: true,
         ..PrecopyStats::default()
     };
-    let mut last_transfer;
+    // What both sides hold after a round: the shipped image and its
+    // manifest, the destination's reconstruction of it, and the leg the
+    // report describes.
+    let mut chain: Option<(Vec<u8>, BaseImageManifest, RetainedBase, Leg)> = None;
+    let mut round: u32 = 0;
 
-    // --- round 0: run to the base trigger, ship the full image ---
-    let mut src_prog = make();
-    let mut frozen = run_to_migration(&mut src_prog, src_arch.clone(), base_trigger)?;
-    let mut cur_image = frozen.to_image()?;
-    let digests = block_digests(&mut frozen.proc.space, &mut frozen.proc.msrlt)?;
-    let mut manifest = BaseImageManifest::new(image_id(&cur_image), digests);
-    stats.full_bytes = cur_image.len() as u64;
-
-    let frame0 = full_image_frame(&cur_image, &manifest, 0);
-    let (got, snap) = wire.ship(&frame0)?;
-    stats.bytes_per_round.push(frame0.len() as u64);
-    stats.wire_bytes += frame0.len() as u64;
-    last_transfer = Some(snap);
-    let (_, mut retained) = apply_delta(None, &got).map_err(MigError::from)?;
-    stats.identity_ok &= retained.image == cur_image;
-    drop(src_prog);
-
-    // --- delta rounds ---
-    let mut round: u32 = 1;
     loop {
-        let mut prog = make();
-        let flow = resume_to_migration(
-            &mut prog,
-            src_arch.clone(),
-            &cur_image,
-            Trigger::AtLeastPollCount(cfg.round_polls),
-        )?;
-        let mut frozen = match flow {
-            ResumeFlow::Completed(results, _proc) => {
-                // The program outran the migration: report the source's
-                // answers; nothing moved, nothing froze.
-                stats.completed_on_source = true;
-                let faults = wire_faults(&wire);
-                return Ok(PrecopyRun {
-                    stats,
-                    results,
-                    transfer: last_transfer,
-                    faults,
-                });
+        // Round 0 collects the source the engine froze and audited; each
+        // later round resumes it on the source until it freezes again.
+        if let Some((image, _, _, last)) = &chain {
+            let dst = Dst {
+                trigger: Some(Trigger::AtLeastPollCount(cfg.round_polls)),
+                ..Dst::default()
+            };
+            src = match open_destination(&mut make(), src_arch.clone(), image, dst)? {
+                Opened::Frozen(frozen) => frozen,
+                Opened::Completed(on_source) => {
+                    // The program outran the migration: report the
+                    // source's answers; nothing froze.
+                    stats.completed_on_source = true;
+                    return Ok(last.finish(&src, audit, on_source, stats, recovery));
+                }
+            };
+        }
+        // The source is frozen from here; for the final round this is
+        // the start of the freeze window.
+        let t_freeze = Instant::now();
+        src.proc.msrlt.reset_stats();
+        let (image, digests, collect_stats) = collect_round(&mut src)?;
+        let (frame, manifest, dirty, mut retained) = match chain.take() {
+            None => {
+                stats.full_bytes = image.len() as u64;
+                let manifest = BaseImageManifest::new(image_id(&image), digests);
+                (full_image_frame(&image, &manifest, 0), manifest, None, None)
             }
-            ResumeFlow::Frozen(f) => f,
+            Some((prev, prev_manifest, retained, _)) => {
+                let dirty = diff_manifest(&prev_manifest, &digests);
+                let (delta, manifest) =
+                    collect_delta(&prev_manifest, &prev, digests, &image, round);
+                (delta.to_frame(), manifest, Some(dirty), Some(retained))
+            }
         };
-        let new_image = frozen.to_image()?;
-        let new_digests = block_digests(&mut frozen.proc.space, &mut frozen.proc.msrlt)?;
-        let dirty = diff_manifest(&manifest, &new_digests);
-        let converged = dirty.dirty_fraction() <= cfg.dirty_threshold;
-        let is_final = converged || round >= cfg.max_rounds;
-
-        // The freeze clock starts at the final delta's collection; for
-        // intermediate rounds the program would be running again already.
-        let t0 = Instant::now();
-        let (delta, next_manifest) =
-            collect_delta(&manifest, &cur_image, new_digests, &new_image, round);
-        let frame = delta.to_frame();
+        let collect_time = t_freeze.elapsed();
         let mut round_bytes = frame.len() as u64;
 
-        if let Some(r) = cfg.tamper_base_at_round {
-            if r == round && !retained.image.is_empty() {
+        if let (Some(r), Some(base)) = (cfg.tamper_base_at_round, retained.as_mut()) {
+            if r == round && !base.image.is_empty() {
                 // Rot the retained base: the payload digest must catch
                 // the divergence and refuse the delta.
-                let mid = retained.image.len() / 2;
-                retained.image[mid] ^= 0xFF;
+                let mid = base.image.len() / 2;
+                base.image[mid] ^= 0xFF;
             }
         }
 
-        let (got, snap) = wire.ship(&frame)?;
-        last_transfer = Some(snap);
-        match apply_delta(Some(&retained), &got) {
-            Ok((_, new_base)) => retained = new_base,
+        let (got, mut transfer) = ship_frame(frame)?;
+        let retained = match apply_delta(retained.as_ref(), &got) {
+            Ok((_, base)) => base,
             Err(CoreError::DeltaBaseMismatch { .. }) => {
                 // Bottom rung of the ladder: the receiver refused, so
                 // ship the plain full image for this round's state.
                 stats.fallbacks += 1;
-                let full = full_image_frame(&new_image, &next_manifest, round);
+                let full = full_image_frame(&image, &manifest, round);
                 round_bytes += full.len() as u64;
-                let (got, snap) = wire.ship(&full)?;
-                last_transfer = Some(snap);
-                let (_, new_base) = apply_delta(None, &got).map_err(MigError::from)?;
-                retained = new_base;
+                let (got, full_transfer) = ship_frame(full)?;
+                transfer.merge_from(&full_transfer);
+                apply_delta(None, &got)?.1
             }
             Err(e) => return Err(e.into()),
-        }
-        stats.identity_ok &= retained.image == new_image;
+        };
+        stats.identity_ok &= retained.image == image;
         stats.bytes_per_round.push(round_bytes);
         stats.wire_bytes += round_bytes;
         stats.rounds = round;
-        cur_image = new_image;
-        manifest = next_manifest;
+        let dirty_blocks = dirty.as_ref().map_or(0, |d| d.dirty.len() as u64);
+        driver.event(
+            "precopy.round",
+            &[
+                ("round", round as u64),
+                ("bytes", round_bytes),
+                ("dirty_blocks", dirty_blocks),
+                ("fallbacks", stats.fallbacks as u64),
+            ],
+        );
+        let leg = Leg {
+            collect: (collect_stats, collect_time),
+            image_bytes: image.len() as u64,
+            transfer,
+        };
 
-        if is_final {
+        let converged = dirty
+            .as_ref()
+            .is_some_and(|d| d.dirty_fraction() <= cfg.dirty_threshold);
+        if let Some(dirty) = dirty.filter(|_| converged || round >= cfg.max_rounds) {
             stats.converged = converged;
             stats.freeze_bytes = round_bytes;
-            stats.dirty_blocks = dirty.dirty.len() as u64;
+            stats.dirty_blocks = dirty_blocks;
             stats.fresh_blocks = dirty.fresh.len() as u64;
             stats.tombstones = dirty.tombstones.len() as u64;
             // --- destination resumes from its reconstructed image ---
-            let mut dst_prog = make();
-            let (results, _proc, _rstats, _rtime) =
-                resume_from_image(&mut dst_prog, dst_arch, &retained.image)?;
-            stats.freeze_time = t0.elapsed();
-            let faults = wire_faults(&wire);
-            return Ok(PrecopyRun {
-                stats,
-                results,
-                transfer: last_transfer,
-                faults,
-            });
+            let dst = Dst {
+                tracer: obs.tracer.clone(),
+                ..Dst::default()
+            };
+            let restored = resume(&mut make(), dst_arch, &retained.image, dst)?;
+            stats.freeze_time = restored
+                .done_at
+                .unwrap_or_else(Instant::now)
+                .saturating_duration_since(t_freeze);
+            return Ok(leg.finish(&src, audit, restored, stats, recovery));
         }
+        chain = Some((image, manifest, retained, leg));
         round += 1;
-    }
-}
-
-/// Accumulate one round's fault counters into the run total.
-fn merge_faults(total: &mut FaultStats, round: &FaultStats) {
-    total.delivered += round.delivered;
-    total.dropped += round.dropped;
-    total.corrupted += round.corrupted;
-    total.duplicated += round.duplicated;
-    total.reordered += round.reordered;
-    total.delayed += round.delayed;
-    total.modeled_delay_nanos += round.modeled_delay_nanos;
-    total.blackholed += round.blackholed;
-    total.disconnected |= round.disconnected;
-}
-
-fn wire_faults(wire: &Wire) -> Option<FaultStats> {
-    match wire {
-        Wire::Plain(_) => None,
-        Wire::Arq { faults, .. } => Some(*faults),
     }
 }

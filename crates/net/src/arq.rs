@@ -182,7 +182,7 @@ impl<L: FrameLink> ReliableChunkSender<L> {
         self
     }
 
-    /// Choose the frame version this stream ships (default: v2). The
+    /// Choose whether this stream compresses (default: stored). The
     /// compressed frame is built once and kept in the replay window, so
     /// retransmissions resend the same wire bytes without recompressing.
     pub fn with_codec(mut self, codec: WireCodec) -> Self {

@@ -438,7 +438,9 @@ impl FrameLink for FaultyEndpoint {
             self.distinct_seen += 1;
         }
 
-        // Payload data region: v2 header is 20 bytes + 4-byte length word.
+        // The damaged byte is picked from the payload length, counted
+        // back from the end of the frame, so the header size never
+        // enters the fault decision.
         let data_len = parsed.payload.len();
         let action = self.plan.action_for(seq, attempt);
         let result = match action {
@@ -528,7 +530,7 @@ mod tests {
     use super::*;
     use crate::channel::channel_pair;
     use crate::model::NetworkModel;
-    use hpm_xdr::frame_chunk_v2;
+    use hpm_xdr::frame_chunk_v3_stored;
 
     #[test]
     fn plans_are_pure_functions_of_the_seed() {
@@ -557,7 +559,7 @@ mod tests {
         let (src, dst) = channel_pair(NetworkModel::instant());
         let mut ep = FaultyEndpoint::new(src, FaultPlan::none());
         for seq in 0..20u32 {
-            ep.send_frame(frame_chunk_v2(seq, false, &[seq as u8; 8]))
+            ep.send_frame(frame_chunk_v3_stored(seq, false, &[seq as u8; 8]))
                 .unwrap();
         }
         for seq in 0..20u32 {
@@ -577,7 +579,8 @@ mod tests {
         };
         let (src, dst) = channel_pair(NetworkModel::instant());
         let mut ep = FaultyEndpoint::new(src, plan);
-        ep.send_frame(frame_chunk_v2(0, false, &[7; 33])).unwrap();
+        ep.send_frame(frame_chunk_v3_stored(0, false, &[7; 33]))
+            .unwrap();
         let f = hpm_xdr::unframe_chunk_any(&dst.recv().unwrap()).unwrap();
         assert_eq!(f.seq, 0);
         assert!(f.verify_crc().is_err(), "payload must fail its CRC");
@@ -592,8 +595,10 @@ mod tests {
         };
         let (src, dst) = channel_pair(NetworkModel::instant());
         let mut ep = FaultyEndpoint::new(src, plan);
-        ep.send_frame(frame_chunk_v2(0, false, &[1; 4])).unwrap();
-        ep.send_frame(frame_chunk_v2(1, false, &[2; 4])).unwrap();
+        ep.send_frame(frame_chunk_v3_stored(0, false, &[1; 4]))
+            .unwrap();
+        ep.send_frame(frame_chunk_v3_stored(1, false, &[2; 4]))
+            .unwrap();
         ep.flush().unwrap();
         let first = hpm_xdr::unframe_chunk_any(&dst.recv().unwrap()).unwrap();
         let second = hpm_xdr::unframe_chunk_any(&dst.recv().unwrap()).unwrap();
@@ -611,7 +616,8 @@ mod tests {
         let (src, dst) = channel_pair(NetworkModel::instant());
         let mut ep = FaultyEndpoint::new(src, plan);
         for seq in 0..5u32 {
-            ep.send_frame(frame_chunk_v2(seq, false, &[0; 4])).unwrap();
+            ep.send_frame(frame_chunk_v3_stored(seq, false, &[0; 4]))
+                .unwrap();
         }
         assert!(ep.stats().disconnected);
         assert_eq!(ep.stats().blackholed, 3);
@@ -659,7 +665,8 @@ mod tests {
         let mut ep = FaultyEndpoint::new(src, plan);
         let t0 = std::time::Instant::now();
         for seq in 0..50u32 {
-            ep.send_frame(frame_chunk_v2(seq, false, &[0; 16])).unwrap();
+            ep.send_frame(frame_chunk_v3_stored(seq, false, &[0; 16]))
+                .unwrap();
         }
         assert!(
             t0.elapsed() < Duration::from_secs(1),

@@ -17,7 +17,6 @@
 mod arq;
 mod channel;
 mod fault;
-mod file;
 mod model;
 mod stream;
 
@@ -27,7 +26,6 @@ pub use arq::{
 };
 pub use channel::{channel_pair, Channel, NetError, TransferSnapshot, TransferStats};
 pub use fault::{FaultAction, FaultPlan, FaultStats, FaultyEndpoint, FrameLink};
-pub use file::FileTransport;
 pub use model::{Link, NetworkModel};
 pub use stream::{ChunkReceiver, ChunkSender, WireCodec};
 

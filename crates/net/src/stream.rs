@@ -1,7 +1,7 @@
 //! Chunked-stream endpoints over a [`Channel`].
 //!
 //! The pipelined migration path ships the memory-state payload as a
-//! sequence of framed chunks (see [`hpm_xdr::frame_chunk_v2`]) so the
+//! sequence of framed chunks (see [`hpm_xdr::chunk`]) so the
 //! destination can start restoring while the source is still collecting.
 //! [`ChunkSender`] frames and sends; [`ChunkReceiver`] unframes, checks
 //! sequence numbers, and latches end-of-stream at the LAST flag.
@@ -15,20 +15,20 @@
 use crate::channel::{Channel, NetError, TransferStats};
 use hpm_obs::FlightTrack;
 use hpm_xdr::{
-    frame_chunk_v2, frame_chunk_v3, frame_chunk_v3_stored, unframe_chunk_any, ChunkFrame,
-    MAX_CHUNK_BYTES,
+    frame_chunk_v3, frame_chunk_v3_stored, unframe_chunk_any, ChunkFrame, MAX_CHUNK_BYTES,
 };
 use std::time::Instant;
 
-/// Which chunk-frame version a sender puts on the wire. Receivers need
-/// no configuration — [`unframe_chunk_any`] detects the version by
-/// magic, which is how a v3 sender interoperates with v2-era peers.
+/// Whether a sender tries to compress its chunks. Both codecs put the
+/// one chunk layout on the wire, so receivers need no configuration:
+/// [`unframe_chunk_any`] reads the compressed bit of each frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireCodec {
-    /// v2 frames: stored payload, CRC-protected.
+    /// Stored frames (compressed bit clear); the compressor is never
+    /// called.
     #[default]
-    V2,
-    /// v3 frames: per-chunk compression with a stored fallback for
+    Stored,
+    /// Per-chunk compression with a stored fallback for
     /// incompressible chunks; CRC over the wire (compressed) bytes. The
     /// sender stops trying the compressor for a while after a chunk
     /// whose compression did not pay (wire payload above 7/8 of raw),
@@ -123,11 +123,11 @@ pub(crate) fn frame_outgoing(
     }
     let raw = payload.len();
     Ok(match codec {
-        WireCodec::V2 => {
+        WireCodec::Stored => {
             if let Some(s) = stats {
                 s.observe_chunk_out(raw as u64, raw as u64, false);
             }
-            (frame_chunk_v2(seq, last, payload), raw)
+            (frame_chunk_v3_stored(seq, last, payload), raw)
         }
         WireCodec::V3 => {
             if !backoff.try_next() {
@@ -220,7 +220,7 @@ impl<'a> ChunkSender<'a> {
         }
     }
 
-    /// Choose the frame version this stream ships (default: v2).
+    /// Choose whether this stream compresses (default: stored).
     pub fn with_codec(mut self, codec: WireCodec) -> Self {
         self.codec = codec;
         self
@@ -317,7 +317,7 @@ impl ChunkReceiver {
 
     /// Receive the next payload chunk; `Ok(None)` once the LAST frame
     /// has arrived. Frames must arrive in sequence order — a gap or
-    /// replay is a [`NetError::ChunkFraming`] error, and a v2 frame whose
+    /// replay is a [`NetError::ChunkFraming`] error, and a frame whose
     /// payload fails its CRC check is [`NetError::Corrupt`]. Once the
     /// stream is done, any further frame on the link is a protocol
     /// violation reported with the offending sequence number.
@@ -438,7 +438,7 @@ mod tests {
     #[test]
     fn last_frame_with_payload_is_delivered_then_done() {
         let (a, b) = channel_pair(NetworkModel::instant());
-        a.send(hpm_xdr::frame_chunk_v2(0, true, &[9, 9, 9, 9]))
+        a.send(hpm_xdr::frame_chunk_v3_stored(0, true, &[9, 9, 9, 9]))
             .unwrap();
         let mut rx = ChunkReceiver::new(b);
         assert_eq!(rx.recv_chunk().unwrap(), Some(vec![9, 9, 9, 9]));
@@ -449,7 +449,7 @@ mod tests {
     #[test]
     fn sequence_gap_is_rejected() {
         let (a, b) = channel_pair(NetworkModel::instant());
-        a.send(hpm_xdr::frame_chunk_v2(1, false, &[0, 0, 0, 0]))
+        a.send(hpm_xdr::frame_chunk_v3_stored(1, false, &[0, 0, 0, 0]))
             .unwrap();
         let mut rx = ChunkReceiver::new(b);
         match rx.recv_chunk() {
@@ -479,7 +479,7 @@ mod tests {
         tx.send(&[1, 2, 3, 4]).unwrap();
         tx.finish().unwrap();
         // The peer keeps talking after terminating the stream.
-        a.send(hpm_xdr::frame_chunk_v2(2, false, &[5, 6, 7, 8]))
+        a.send(hpm_xdr::frame_chunk_v3_stored(2, false, &[5, 6, 7, 8]))
             .unwrap();
         let mut rx = ChunkReceiver::new(b);
         assert_eq!(rx.recv_chunk().unwrap(), Some(vec![1, 2, 3, 4]));
@@ -505,7 +505,7 @@ mod tests {
     #[test]
     fn corrupted_payload_is_caught_by_crc() {
         let (a, b) = channel_pair(NetworkModel::instant());
-        let mut frame = hpm_xdr::frame_chunk_v2(0, false, &[1, 2, 3, 4]);
+        let mut frame = hpm_xdr::frame_chunk_v3_stored(0, false, &[1, 2, 3, 4]);
         let n = frame.len();
         frame[n - 2] ^= 0xFF; // flip a payload byte, header untouched
         a.send(frame).unwrap();
@@ -527,9 +527,10 @@ mod tests {
     #[test]
     fn hand_framed_chunks_decode_in_sequence() {
         let (a, b) = channel_pair(NetworkModel::instant());
-        a.send(hpm_xdr::frame_chunk_v2(0, false, &[1, 2, 3, 4]))
+        a.send(hpm_xdr::frame_chunk_v3_stored(0, false, &[1, 2, 3, 4]))
             .unwrap();
-        a.send(hpm_xdr::frame_chunk_v2(1, true, &[])).unwrap();
+        a.send(hpm_xdr::frame_chunk_v3_stored(1, true, &[]))
+            .unwrap();
         let mut rx = ChunkReceiver::new(b);
         assert_eq!(rx.recv_chunk().unwrap(), Some(vec![1, 2, 3, 4]));
         assert_eq!(rx.recv_chunk().unwrap(), None);
@@ -557,6 +558,40 @@ mod tests {
 
         let (a, b) = channel_pair(NetworkModel::instant());
         a.send(v1).unwrap();
+        let mut rx = crate::ReliableChunkReceiver::new(b, crate::ArqConfig::default());
+        let err = rx.recv_chunk().unwrap_err();
+        assert!(
+            matches!(err, NetError::ChunkFraming { chunk: 0, .. }),
+            "{err:?}"
+        );
+    }
+
+    /// The retired v2 layout ("HPMD") is a stored frame without the
+    /// raw_len word; no decoder accepts it, so one layout is on the wire.
+    #[test]
+    fn v2_magic_is_rejected_by_every_decoder() {
+        let mut enc = hpm_xdr::XdrEncoder::with_capacity(24);
+        enc.put_u32(0x4850_4D44);
+        enc.put_u32(0);
+        enc.put_u32(hpm_xdr::CHUNK_FLAG_LAST);
+        enc.put_u32(hpm_xdr::crc32(&[1, 2, 3, 4]));
+        enc.put_opaque_var(&[1, 2, 3, 4]);
+        let v2 = enc.into_bytes();
+        assert!(matches!(
+            hpm_xdr::unframe_chunk_any(&v2),
+            Err(hpm_xdr::XdrError::BadMagic(0x4850_4D44))
+        ));
+
+        let (a, b) = channel_pair(NetworkModel::instant());
+        a.send(v2.clone()).unwrap();
+        let err = ChunkReceiver::new(b).recv_chunk().unwrap_err();
+        assert!(
+            matches!(err, NetError::ChunkFraming { chunk: 0, .. }),
+            "{err:?}"
+        );
+
+        let (a, b) = channel_pair(NetworkModel::instant());
+        a.send(v2).unwrap();
         let mut rx = crate::ReliableChunkReceiver::new(b, crate::ArqConfig::default());
         let err = rx.recv_chunk().unwrap_err();
         assert!(
@@ -783,7 +818,7 @@ mod tests {
     fn oversized_payload_is_refused_before_framing() {
         let (a, _b) = channel_pair(NetworkModel::instant());
         let big = vec![0u8; MAX_CHUNK_BYTES + 1];
-        for codec in [WireCodec::V2, WireCodec::V3] {
+        for codec in [WireCodec::Stored, WireCodec::V3] {
             let mut tx = ChunkSender::new(&a).with_codec(codec);
             match tx.send(&big) {
                 Err(NetError::ChunkFraming { chunk: 0, reason }) => {

@@ -2,28 +2,25 @@
 //!
 //! The pipelined migration path ships the XDR image stream in framed
 //! chunks so transfer can start while collection is still traversing the
-//! MSR graph. Each chunk on the wire is itself a tiny XDR document, and
-//! every frame carries a CRC-32. Two frame versions coexist:
+//! MSR graph. Each chunk on the wire is itself a tiny XDR document with
+//! one layout, and every frame carries a CRC-32:
 //!
 //! ```text
-//! v2 (stored)                          v3 (compressed)
-//! u32 magic  = 0x4850_4D44 ("HPMD")    u32 magic   = 0x4850_4D45 ("HPME")
-//! u32 seq    = 0, 1, 2, ...            u32 seq     = 0, 1, 2, ...
-//! u32 flags  = bit 0 on final chunk    u32 flags   = bit 0 final chunk,
-//!                                                    bit 1 compressed
-//!                                      u32 raw_len = size before compression
-//! u32 crc    = CRC-32 of the payload   u32 crc     = CRC-32 of the *wire*
-//!                                                    payload (post-compression)
-//! opaque_var payload (4-byte aligned)  opaque_var wire payload (4-byte aligned)
+//! u32 magic   = 0x4850_4D45 ("HPME")
+//! u32 seq     = 0, 1, 2, ...
+//! u32 flags   = bit 0 final chunk, bit 1 compressed
+//! u32 raw_len = payload size before compression
+//! u32 crc     = CRC-32 of the *wire* payload (post-compression)
+//! opaque_var wire payload (4-byte aligned)
 //! ```
 //!
-//! [`frame_chunk_v3`] compresses a chunk with [`crate::compress()`] and
-//! falls back to a stored block (bit 1 clear, wire payload = raw payload)
-//! whenever compression would not shrink it — incompressible data never
-//! expands beyond the fixed 4-byte `raw_len` overhead.
-//! [`frame_chunk_v3_stored`] builds that same stored block without
-//! calling the compressor; a sender uses it for chunks it has decided
-//! not to try (the per-stream backoff in `hpm-net`). Both are pure
+//! A *stored* frame has bit 1 clear: its wire payload is the raw payload
+//! and `raw_len` is its length. [`frame_chunk_v3`] compresses a chunk
+//! with [`crate::compress()`] and falls back to a stored frame whenever
+//! compression would not shrink it. [`frame_chunk_v3_stored`] builds
+//! that same stored frame without calling the compressor; a sender uses
+//! it for chunks it has decided not to try (the per-stream backoff in
+//! `hpm-net`, and every chunk of a stored stream). Both are pure
 //! functions of their arguments, so a stream's frames depend only on
 //! its chunk sequence. The CRC always covers the bytes actually on the
 //! wire, so the transport can verify integrity *before* spending
@@ -31,18 +28,16 @@
 //! like a corrupt stored one.
 //!
 //! No sender frames a chunk larger than [`MAX_CHUNK_BYTES`], and the
-//! decoder refuses a v3 `raw_len` above it before allocating anything:
-//! the header word is not covered by the CRC, so its value is never
-//! trusted as an allocation size.
+//! decoder refuses a `raw_len` above it before allocating anything: the
+//! header word is not covered by the CRC, so its value is never trusted
+//! as an allocation size.
 //!
-//! [`unframe_chunk_any`] decodes both versions — receiver-side
-//! auto-detection by magic is the negotiation mechanism, so a v3 sender
-//! interoperates with v2 peers simply by being configured down, and a
-//! receiver understands whatever arrives. Anything else, including the
-//! retired CRC-less v1 layout ("HPMC"), is rejected as bad magic. The
-//! CRC is reported, not verified, here — the transport layer decides how
-//! to react to a mismatch (the framing layer has no notion of
-//! retransmission).
+//! [`unframe_chunk_any`] decodes the layout. Anything else is rejected
+//! as bad magic, including the retired CRC-less v1 layout ("HPMC") and
+//! the retired v2 layout ("HPMD"), a stored frame one header word
+//! shorter. The CRC is reported, not verified, here — the transport
+//! layer decides how to react to a mismatch (the framing layer has no
+//! notion of retransmission).
 //!
 //! The reverse direction of an ARQ link carries tiny control frames
 //! ([`frame_control`] / [`unframe_control`]): cumulative ACKs and
@@ -55,10 +50,7 @@
 use crate::compress::{compress, decompress};
 use crate::{XdrDecoder, XdrEncoder, XdrError};
 
-/// Magic number opening every v2 (CRC-carrying) chunk frame: "HPMD".
-pub const CHUNK_MAGIC_V2: u32 = 0x4850_4D44;
-
-/// Magic number opening every v3 (compression-capable) chunk frame: "HPME".
+/// Magic number opening every chunk frame: "HPME".
 pub const CHUNK_MAGIC_V3: u32 = 0x4850_4D45;
 
 /// Magic number opening every ARQ control frame: "HPMA".
@@ -67,12 +59,12 @@ pub const CONTROL_MAGIC: u32 = 0x4850_4D41;
 /// Flag bit marking the final chunk of a stream.
 pub const CHUNK_FLAG_LAST: u32 = 1;
 
-/// Flag bit (v3 only) marking a chunk whose wire payload is compressed.
+/// Flag bit marking a chunk whose wire payload is compressed.
 pub const CHUNK_FLAG_COMPRESSED: u32 = 2;
 
 /// Largest chunk payload, in raw (pre-compression) bytes, that any
-/// sender frames and any receiver accepts. A v3 frame declaring a
-/// larger `raw_len` is rejected before its payload is expanded.
+/// sender frames and any receiver accepts. A frame declaring a larger
+/// `raw_len` is rejected before its payload is expanded.
 pub const MAX_CHUNK_BYTES: usize = 16 << 20;
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of `data` — the per-chunk
@@ -141,18 +133,6 @@ const fn crc32_table() -> [u32; 256] {
     table
 }
 
-/// Frame one chunk with the v2 layout: the payload's CRC-32 travels
-/// between the flags word and the payload.
-pub fn frame_chunk_v2(seq: u32, last: bool, payload: &[u8]) -> Vec<u8> {
-    let mut enc = XdrEncoder::with_capacity(20 + payload.len());
-    enc.put_u32(CHUNK_MAGIC_V2);
-    enc.put_u32(seq);
-    enc.put_u32(if last { CHUNK_FLAG_LAST } else { 0 });
-    enc.put_u32(crc32(payload));
-    enc.put_opaque_var(payload);
-    enc.into_bytes()
-}
-
 /// Frame one chunk with the v3 layout, compressing the payload when
 /// that shrinks it and storing it raw otherwise. Returns the frame and
 /// the number of wire-payload bytes actually shipped (compressed size
@@ -189,7 +169,7 @@ fn put_v3(seq: u32, last: bool, compressed: bool, raw_len: usize, wire: &[u8]) -
     enc.into_bytes()
 }
 
-/// One decoded chunk frame, any version.
+/// One decoded chunk frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkFrame {
     /// Sequence number.
@@ -197,16 +177,15 @@ pub struct ChunkFrame {
     /// Final-chunk flag.
     pub last: bool,
     /// The wire payload as it arrived (possibly corrupted in transit;
-    /// still compressed for compressed v3 frames). Verification against
+    /// still compressed for compressed frames). Verification against
     /// `crc` is the receiver's job, *before* decompression.
     pub payload: Vec<u8>,
     /// The CRC-32 the sender stamped over the wire payload.
     pub crc: u32,
-    /// Whether `payload` is compressed (v3 frames with bit 1 set).
+    /// Whether `payload` is compressed (bit 1 of the flags).
     pub compressed: bool,
-    /// Pre-compression payload size carried by v3 frames; `None` for v2
-    /// frames, whose payload is always stored.
-    pub raw_len: Option<u32>,
+    /// Pre-compression payload size.
+    pub raw_len: u32,
 }
 
 impl ChunkFrame {
@@ -222,61 +201,57 @@ impl ChunkFrame {
     }
 
     /// The decoded (post-decompression) payload. For stored frames this
-    /// is the wire payload as-is; for compressed v3 frames the token
-    /// stream is expanded and checked against the declared `raw_len`,
-    /// which must not exceed [`MAX_CHUNK_BYTES`].
+    /// is the wire payload as-is; for compressed frames the token stream
+    /// is expanded and checked against the declared `raw_len`, which
+    /// must not exceed [`MAX_CHUNK_BYTES`].
     pub fn into_payload(self) -> Result<Vec<u8>, XdrError> {
         if !self.compressed {
             return Ok(self.payload);
         }
-        let raw_len = self.raw_len.unwrap_or(0);
-        check_raw_len(raw_len)?;
-        decompress(&self.payload, raw_len as usize)
+        check_raw_len(self.raw_len)?;
+        decompress(&self.payload, self.raw_len as usize)
     }
 }
 
-/// Unframe a v2 or v3 chunk. The CRC is returned unverified so the
-/// transport can distinguish "corrupt payload" (known sequence number,
+/// Unframe a chunk. The CRC is returned unverified so the transport can
+/// distinguish "corrupt payload" (known sequence number,
 /// retransmittable) from "unparseable frame", and the payload stays
 /// compressed so verification precedes decompression.
 ///
 /// Rejects bad magic, unknown flag bits, a `raw_len` above
-/// [`MAX_CHUNK_BYTES`], and trailing bytes after the payload — a frame
-/// is a complete message, never a prefix of one.
+/// [`MAX_CHUNK_BYTES`], a stored frame whose `raw_len` is not its
+/// payload length, and trailing bytes after the payload — a frame is a
+/// complete message, never a prefix of one.
 pub fn unframe_chunk_any(frame: &[u8]) -> Result<ChunkFrame, XdrError> {
     let mut dec = XdrDecoder::new(frame);
     let magic = dec.get_u32()?;
-    if magic != CHUNK_MAGIC_V2 && magic != CHUNK_MAGIC_V3 {
+    if magic != CHUNK_MAGIC_V3 {
         return Err(XdrError::BadMagic(magic));
     }
     let seq = dec.get_u32()?;
     let flags = dec.get_u32()?;
-    let known = if magic == CHUNK_MAGIC_V3 {
-        CHUNK_FLAG_LAST | CHUNK_FLAG_COMPRESSED
-    } else {
-        CHUNK_FLAG_LAST
-    };
-    if flags & !known != 0 {
+    if flags & !(CHUNK_FLAG_LAST | CHUNK_FLAG_COMPRESSED) != 0 {
         return Err(XdrError::BadMagic(flags));
     }
-    let raw_len = if magic == CHUNK_MAGIC_V3 {
-        let raw_len = dec.get_u32()?;
-        check_raw_len(raw_len)?;
-        Some(raw_len)
-    } else {
-        None
-    };
+    let raw_len = dec.get_u32()?;
+    check_raw_len(raw_len)?;
     let crc = dec.get_u32()?;
     let payload = dec.get_opaque_var()?;
     if !dec.is_empty() {
         return Err(XdrError::LengthTooLarge(dec.remaining() as u32));
+    }
+    let compressed = flags & CHUNK_FLAG_COMPRESSED != 0;
+    // A stored payload is its own raw form; any other declared size is
+    // a damaged header the CRC cannot see.
+    if !compressed && payload.len() != raw_len as usize {
+        return Err(XdrError::LengthTooLarge(raw_len));
     }
     Ok(ChunkFrame {
         seq,
         last: flags & CHUNK_FLAG_LAST != 0,
         payload,
         crc,
-        compressed: flags & CHUNK_FLAG_COMPRESSED != 0,
+        compressed,
         raw_len,
     })
 }
@@ -374,21 +349,17 @@ pub fn unframe_control(frame: &[u8]) -> Result<Control, XdrError> {
 
 /// Read the CRC a framed chunk was stamped with, without copying its payload.
 ///
-/// Returns `None` for anything that is not a v2/v3 chunk frame, or too
-/// short to carry the header of its declared version.
+/// Returns `None` for anything that is not a chunk frame, or too short
+/// to carry the header.
 pub fn frame_stamped_crc(frame: &[u8]) -> Option<u32> {
     let mut dec = XdrDecoder::new(frame);
-    let magic = dec.get_u32().ok()?;
+    if dec.get_u32().ok()? != CHUNK_MAGIC_V3 {
+        return None;
+    }
     let _seq = dec.get_u32().ok()?;
     let _flags = dec.get_u32().ok()?;
-    match magic {
-        CHUNK_MAGIC_V2 => dec.get_u32().ok(),
-        CHUNK_MAGIC_V3 => {
-            let _raw_len = dec.get_u32().ok()?;
-            dec.get_u32().ok()
-        }
-        _ => None,
-    }
+    let _raw_len = dec.get_u32().ok()?;
+    dec.get_u32().ok()
 }
 
 #[cfg(test)]
@@ -398,7 +369,7 @@ mod tests {
     #[test]
     fn chunk_roundtrip() {
         let payload = vec![1u8, 2, 3, 4, 5, 6, 7, 8];
-        let frame = frame_chunk_v2(7, false, &payload);
+        let frame = frame_chunk_v3_stored(7, false, &payload);
         assert_eq!(frame.len() % 4, 0);
         let f = unframe_chunk_any(&frame).unwrap();
         assert_eq!(f.seq, 7);
@@ -408,7 +379,7 @@ mod tests {
 
     #[test]
     fn last_flag_roundtrips() {
-        let frame = frame_chunk_v2(3, true, &[]);
+        let frame = frame_chunk_v3_stored(3, true, &[]);
         let f = unframe_chunk_any(&frame).unwrap();
         assert_eq!(f.seq, 3);
         assert!(f.last);
@@ -417,7 +388,7 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let mut frame = frame_chunk_v2(0, false, &[1, 2, 3, 4]);
+        let mut frame = frame_chunk_v3_stored(0, false, &[1, 2, 3, 4]);
         frame[0] ^= 0xFF;
         assert!(matches!(
             unframe_chunk_any(&frame),
@@ -427,14 +398,14 @@ mod tests {
 
     #[test]
     fn unknown_flags_rejected() {
-        let mut frame = frame_chunk_v2(0, false, &[]);
+        let mut frame = frame_chunk_v3_stored(0, false, &[]);
         frame[11] = 0x80; // flags word, low byte
         assert!(unframe_chunk_any(&frame).is_err());
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut frame = frame_chunk_v2(0, true, &[1, 2, 3, 4]);
+        let mut frame = frame_chunk_v3_stored(0, true, &[1, 2, 3, 4]);
         frame.extend_from_slice(&[0, 0, 0, 0]);
         assert!(unframe_chunk_any(&frame).is_err());
     }
@@ -485,9 +456,9 @@ mod tests {
     }
 
     #[test]
-    fn v2_roundtrip_carries_verified_crc() {
+    fn stored_roundtrip_carries_verified_crc() {
         let payload = vec![7u8; 33];
-        let frame = frame_chunk_v2(5, false, &payload);
+        let frame = frame_chunk_v3_stored(5, false, &payload);
         assert_eq!(frame.len() % 4, 0);
         let f = unframe_chunk_any(&frame).unwrap();
         assert_eq!(f.seq, 5);
@@ -498,8 +469,8 @@ mod tests {
     }
 
     #[test]
-    fn v2_corrupt_payload_fails_verification_with_computed_crc() {
-        let mut frame = frame_chunk_v2(0, true, &[1, 2, 3, 4, 5, 6, 7, 8]);
+    fn stored_corrupt_payload_fails_verification_with_computed_crc() {
+        let mut frame = frame_chunk_v3_stored(0, true, &[1, 2, 3, 4, 5, 6, 7, 8]);
         let payload_start = frame.len() - 8;
         frame[payload_start] ^= 0x40;
         let f = unframe_chunk_any(&frame).unwrap();
@@ -511,7 +482,7 @@ mod tests {
     #[test]
     fn unframe_any_rejects_the_crcless_v1_magic() {
         // "HPMC": the retired v1 layout, which carried no CRC word.
-        let mut frame = frame_chunk_v2(9, true, &[1, 2, 3, 4]);
+        let mut frame = frame_chunk_v3_stored(9, true, &[1, 2, 3, 4]);
         frame[..4].copy_from_slice(&0x4850_4D43u32.to_be_bytes());
         assert!(matches!(
             unframe_chunk_any(&frame),
@@ -520,9 +491,21 @@ mod tests {
     }
 
     #[test]
-    fn truncated_v2_frame_rejected() {
-        let frame = frame_chunk_v2(0, true, &[9; 40]);
-        for cut in [0, 4, 8, 12, 16, frame.len() - 1] {
+    fn unframe_any_rejects_the_retired_v2_magic() {
+        // "HPMD": the retired v2 layout, a stored frame without the
+        // raw_len word.
+        let mut frame = frame_chunk_v3_stored(9, true, &[1, 2, 3, 4]);
+        frame[..4].copy_from_slice(&0x4850_4D44u32.to_be_bytes());
+        assert!(matches!(
+            unframe_chunk_any(&frame),
+            Err(XdrError::BadMagic(0x4850_4D44))
+        ));
+    }
+
+    #[test]
+    fn truncated_stored_frame_rejected() {
+        let frame = frame_chunk_v3_stored(0, true, &[9; 40]);
+        for cut in [0, 4, 8, 12, 16, 20, frame.len() - 1] {
             assert!(unframe_chunk_any(&frame[..cut]).is_err(), "cut at {cut}");
         }
     }
@@ -559,20 +542,22 @@ mod tests {
     #[test]
     fn frame_stamped_crc_matches_parsed_crc() {
         let payload = vec![7u8; 96];
-        let v2 = frame_chunk_v2(4, false, &payload);
+        let stored = frame_chunk_v3_stored(4, false, &payload);
         assert_eq!(
-            frame_stamped_crc(&v2),
-            Some(unframe_chunk_any(&v2).unwrap().crc)
+            frame_stamped_crc(&stored),
+            Some(unframe_chunk_any(&stored).unwrap().crc)
         );
         let (v3, _) = frame_chunk_v3(5, true, &payload);
         assert_eq!(
             frame_stamped_crc(&v3),
             Some(unframe_chunk_any(&v3).unwrap().crc)
         );
-        let mut v1_magic = v2.clone();
-        v1_magic[..4].copy_from_slice(&0x4850_4D43u32.to_be_bytes());
-        assert_eq!(frame_stamped_crc(&v1_magic), None);
-        assert_eq!(frame_stamped_crc(&v2[..8]), None);
+        for retired in [0x4850_4D43u32, 0x4850_4D44] {
+            let mut old_magic = stored.clone();
+            old_magic[..4].copy_from_slice(&retired.to_be_bytes());
+            assert_eq!(frame_stamped_crc(&old_magic), None, "{retired:#x}");
+        }
+        assert_eq!(frame_stamped_crc(&stored[..16]), None);
     }
 
     #[test]
@@ -601,7 +586,7 @@ mod tests {
         assert_eq!(f.seq, 11);
         assert!(!f.last);
         assert!(f.compressed);
-        assert_eq!(f.raw_len, Some(4096));
+        assert_eq!(f.raw_len, 4096);
         assert!(f.verify_crc().is_ok());
         assert_eq!(f.into_payload().unwrap(), payload);
     }
@@ -620,12 +605,12 @@ mod tests {
             .collect();
         let (frame, wire_len) = frame_chunk_v3(0, true, &payload);
         assert_eq!(wire_len, payload.len(), "stored fallback ships raw bytes");
-        // v3 overhead over v2 is exactly the 4-byte raw_len word.
-        assert_eq!(frame.len(), frame_chunk_v2(0, true, &payload).len() + 4);
+        // A stored frame costs exactly its 24-byte header.
+        assert_eq!(frame.len(), 24 + payload.len());
         let f = unframe_chunk_any(&frame).unwrap();
         assert!(!f.compressed);
         assert!(f.last);
-        assert_eq!(f.raw_len, Some(payload.len() as u32));
+        assert_eq!(f.raw_len, payload.len() as u32);
         assert!(f.verify_crc().is_ok());
         assert_eq!(f.into_payload().unwrap(), payload);
     }
@@ -641,7 +626,7 @@ mod tests {
         let zeros = vec![0u8; 4096];
         let f = unframe_chunk_any(&frame_chunk_v3_stored(9, false, &zeros)).unwrap();
         assert!(!f.compressed);
-        assert_eq!(f.raw_len, Some(4096));
+        assert_eq!(f.raw_len, 4096);
         assert!(f.verify_crc().is_ok());
         assert_eq!(f.into_payload().unwrap(), zeros);
     }
@@ -665,12 +650,30 @@ mod tests {
         frame[12..16].copy_from_slice(&4096u32.to_be_bytes());
         let mut f = unframe_chunk_any(&frame).unwrap();
         assert!(f.compressed && f.verify_crc().is_ok());
-        f.raw_len = Some(forged);
+        f.raw_len = forged;
         assert_eq!(f.into_payload(), Err(XdrError::LengthTooLarge(forged)));
 
         // The limit itself is a legal declaration.
         frame[12..16].copy_from_slice(&(MAX_CHUNK_BYTES as u32).to_be_bytes());
         assert!(unframe_chunk_any(&frame).is_ok());
+    }
+
+    /// Found by the seeded mutation test: a stored frame whose `raw_len`
+    /// header word was overwritten decoded to a payload of a different
+    /// length than it declared.
+    #[test]
+    fn stored_frame_with_a_forged_raw_len_is_rejected() {
+        let mut frame = frame_chunk_v3_stored(3, false, &[1, 2, 3, 4, 5, 6, 7, 8]);
+        for forged in [0u32, 7, 9, 81] {
+            frame[12..16].copy_from_slice(&forged.to_be_bytes());
+            assert_eq!(
+                unframe_chunk_any(&frame),
+                Err(XdrError::LengthTooLarge(forged)),
+                "raw_len {forged}"
+            );
+        }
+        frame[12..16].copy_from_slice(&8u32.to_be_bytes());
+        assert_eq!(unframe_chunk_any(&frame).unwrap().raw_len, 8);
     }
 
     #[test]
@@ -706,21 +709,13 @@ mod tests {
     }
 
     #[test]
-    fn v2_frames_decode_as_stored_via_any() {
-        let f = unframe_chunk_any(&frame_chunk_v2(2, false, &[1, 2, 3, 4])).unwrap();
-        assert!(!f.compressed);
-        assert_eq!(f.raw_len, None);
-        assert_eq!(f.into_payload().unwrap(), vec![1, 2, 3, 4]);
-    }
-
-    #[test]
     fn concatenated_payloads_reassemble() {
         let whole: Vec<u8> = (0..200u16).map(|i| i as u8).collect();
         let mut frames = Vec::new();
         for (i, piece) in whole.chunks(48).enumerate() {
-            frames.push(frame_chunk_v2(i as u32, false, piece));
+            frames.push(frame_chunk_v3_stored(i as u32, false, piece));
         }
-        frames.push(frame_chunk_v2(frames.len() as u32, true, &[]));
+        frames.push(frame_chunk_v3_stored(frames.len() as u32, true, &[]));
         let mut reassembled = Vec::new();
         for f in &frames {
             reassembled.extend_from_slice(&unframe_chunk_any(f).unwrap().payload);

@@ -399,7 +399,7 @@ fn crashed_transfer_resumes_byte_identical_on_every_preset_pair() {
             let image = frozen.to_image().unwrap();
             let chunks: Vec<Vec<u8>> = image.chunks(512).map(|c| c.to_vec()).collect();
             let k = (chunks.len() as u32 / 2).max(1);
-            for codec in [WireCodec::V2, WireCodec::V3] {
+            for codec in [WireCodec::Stored, WireCodec::V3] {
                 let tag = format!("{} -> {} via {codec:?}", src.name, dst.name);
 
                 // Attempt 1: the destination dies before consuming chunk k.

@@ -1,6 +1,6 @@
 //! Seeded fault-injection soak: hundreds of [`FaultPlan`]s against the
 //! resilient migration driver, across three paper workloads — each plan
-//! run over both the stored (v2) and compressed (v3) wire.
+//! run over both the stored and compressed (v3) wire.
 //!
 //! The contract under test is the robustness tentpole's acceptance bar:
 //! every run either restores on the destination byte-identically (the

@@ -189,7 +189,7 @@ fn parallel_driver_reports_shards_and_collect_events() {
         Architecture::sparc20(),
         NetworkModel::ethernet_10(),
         Trigger::AtPollCount(8),
-        Route::Planned(Planning::Fixed(MigrationPlan::forced(4, WireCodec::V2))),
+        Route::Planned(Planning::Fixed(MigrationPlan::forced(4, WireCodec::Stored))),
         &Obs {
             recorder: recorder.clone(),
             ..Obs::default()

@@ -110,7 +110,7 @@ fn forced_parallel_compressed_driver_matches_sequential() {
     )
     .unwrap();
     for workers in [1usize, 2, 4] {
-        for codec in [WireCodec::V2, WireCodec::V3] {
+        for codec in [WireCodec::Stored, WireCodec::V3] {
             let run = migrate(
                 TestPointer::new,
                 Architecture::ultra5(),
@@ -142,8 +142,8 @@ fn forced_parallel_compressed_driver_matches_sequential() {
                 "{tag}: every image byte crosses the wire exactly once"
             );
             match codec {
-                WireCodec::V2 => {
-                    assert_eq!(t.chunks_compressed, 0, "{tag}: v2 never compresses");
+                WireCodec::Stored => {
+                    assert_eq!(t.chunks_compressed, 0, "{tag}: stored never compresses");
                     assert_eq!(t.raw_payload_bytes, t.wire_payload_bytes, "{tag}");
                 }
                 WireCodec::V3 => {

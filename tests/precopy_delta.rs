@@ -3,10 +3,8 @@
 //! and composition with the faulty-link ARQ stack.
 
 use hpm_arch::Architecture;
-use hpm_migrate::{
-    run_migrating_precopy, run_migrating_precopy_faulty, run_straight, PrecopyConfig, Trigger,
-};
-use hpm_net::{ArqConfig, FaultPlan, NetworkModel};
+use hpm_migrate::{migrate, run_straight, Obs, PrecopyConfig, Route, Trigger};
+use hpm_net::{FaultPlan, NetworkModel};
 use hpm_workloads::{diff_results, BitonicSort, TestPointer};
 
 // Pre-copy rounds need a workload whose poll-points live in the
@@ -35,28 +33,33 @@ fn precopy_bitonic_matches_straight_run_heterogeneous() {
         (Architecture::sparc20(), Architecture::ultra5()),
         (Architecture::x86_64_sim(), Architecture::dec5000()),
     ] {
-        let run = run_migrating_precopy(
+        let run = migrate(
             || BitonicSort::new(N),
             src.clone(),
             dst.clone(),
             NetworkModel::ethernet_100(),
             Trigger::AtPollCount(N / 4),
-            bitonic_cfg(),
+            Route::Precopy {
+                config: bitonic_cfg(),
+                faults: None,
+            },
+            &Obs::default(),
         )
         .expect("pre-copy migration");
+        let stats = run.report.precopy.as_ref().expect("pre-copy stats");
         assert!(
             diff_results(&expected, &run.results).is_none(),
             "{} -> {}: answers diverged",
             src.name,
             dst.name
         );
-        assert!(run.stats.identity_ok, "per-round byte identity violated");
-        assert_eq!(run.stats.fallbacks, 0, "unexpected full-image fallback");
-        assert!(!run.stats.completed_on_source);
-        assert!(run.stats.rounds >= 1);
+        assert!(stats.identity_ok, "per-round byte identity violated");
+        assert_eq!(stats.fallbacks, 0, "unexpected full-image fallback");
+        assert!(!stats.completed_on_source);
+        assert!(stats.rounds >= 1);
         assert_eq!(
-            run.stats.bytes_per_round.len() as u32,
-            run.stats.rounds + 1,
+            stats.bytes_per_round.len() as u32,
+            stats.rounds + 1,
             "one entry per shipped round (round 0 included)"
         );
     }
@@ -71,38 +74,43 @@ fn precopy_bitonic_converges_with_small_freeze() {
     // round cap — the round budget must stay inside the n total polls
     // or the run silently completes on the source and `freeze_bytes`
     // is a vacuous 0.
-    let run = run_migrating_precopy(
+    let run = migrate(
         || BitonicSort::new(n),
         Architecture::ultra5(),
         Architecture::sparc20(),
         NetworkModel::ethernet_100(),
         Trigger::AtPollCount(n / 4),
-        PrecopyConfig {
-            round_polls: 150,
-            max_rounds: 4,
-            dirty_threshold: 0.05,
-            ..PrecopyConfig::default()
+        Route::Precopy {
+            config: PrecopyConfig {
+                round_polls: 150,
+                max_rounds: 4,
+                dirty_threshold: 0.05,
+                ..PrecopyConfig::default()
+            },
+            faults: None,
         },
+        &Obs::default(),
     )
     .expect("pre-copy migration");
+    let stats = run.report.precopy.as_ref().expect("pre-copy stats");
     assert!(
         diff_results(&expected, &run.results).is_none(),
         "answers diverged"
     );
-    assert!(run.stats.identity_ok);
-    assert_eq!(run.stats.fallbacks, 0);
+    assert!(stats.identity_ok);
+    assert_eq!(stats.fallbacks, 0);
     assert!(
-        !run.stats.completed_on_source,
+        !stats.completed_on_source,
         "no freeze happened — the convergence claim below would be vacuous"
     );
-    assert!(run.stats.freeze_bytes > 0);
+    assert!(stats.freeze_bytes > 0);
     // The whole point of pre-copy: the frozen leg ships far less than
     // the full image round 0 shipped.
     assert!(
-        run.stats.freeze_bytes * 4 <= run.stats.full_bytes,
+        stats.freeze_bytes * 4 <= stats.full_bytes,
         "freeze shipped {} of a {}-byte image",
-        run.stats.freeze_bytes,
-        run.stats.full_bytes
+        stats.freeze_bytes,
+        stats.full_bytes
     );
 }
 
@@ -110,23 +118,28 @@ fn precopy_bitonic_converges_with_small_freeze() {
 fn tampered_base_forces_clean_full_image_fallback() {
     let (expected, _) =
         run_straight(&mut BitonicSort::new(N), Architecture::dec5000()).expect("straight run");
-    let run = run_migrating_precopy(
+    let run = migrate(
         || BitonicSort::new(N),
         Architecture::dec5000(),
         Architecture::ultra5(),
         NetworkModel::ethernet_100(),
         Trigger::AtPollCount(N / 4),
-        PrecopyConfig {
-            tamper_base_at_round: Some(1),
-            ..bitonic_cfg()
+        Route::Precopy {
+            config: PrecopyConfig {
+                tamper_base_at_round: Some(1),
+                ..bitonic_cfg()
+            },
+            faults: None,
         },
+        &Obs::default(),
     )
     .expect("pre-copy migration survives a rotten base");
+    let stats = run.report.precopy.as_ref().expect("pre-copy stats");
     assert_eq!(
-        run.stats.fallbacks, 1,
+        stats.fallbacks, 1,
         "the rotten base must refuse exactly once"
     );
-    assert!(run.stats.identity_ok, "fallback must restore byte identity");
+    assert!(stats.identity_ok, "fallback must restore byte identity");
     assert!(
         diff_results(&expected, &run.results).is_none(),
         "answers diverged after fallback"
@@ -137,21 +150,26 @@ fn tampered_base_forces_clean_full_image_fallback() {
 fn program_outrunning_the_rounds_reports_source_results() {
     let (expected, _) =
         run_straight(&mut TestPointer::new(), Architecture::dec5000()).expect("straight run");
-    let run = run_migrating_precopy(
+    let run = migrate(
         TestPointer::new,
         Architecture::dec5000(),
         Architecture::ultra5(),
         NetworkModel::ethernet_100(),
         Trigger::AtPollCount(8),
-        PrecopyConfig {
-            round_polls: 1_000_000,
-            ..PrecopyConfig::default()
+        Route::Precopy {
+            config: PrecopyConfig {
+                round_polls: 1_000_000,
+                ..PrecopyConfig::default()
+            },
+            faults: None,
         },
+        &Obs::default(),
     )
     .expect("pre-copy with an unreachable round trigger");
-    assert!(run.stats.completed_on_source);
+    let stats = run.report.precopy.as_ref().expect("pre-copy stats");
+    assert!(stats.completed_on_source);
     assert!(diff_results(&expected, &run.results).is_none());
-    assert_eq!(run.stats.rounds, 0, "no delta round completed");
+    assert_eq!(stats.rounds, 0, "no delta round completed");
 }
 
 #[test]
@@ -164,28 +182,63 @@ fn precopy_over_faulty_arq_link_roundtrips() {
     plan.disconnect_at = None;
     plan.dst_crash_at = None;
     plan.src_crash_at = None;
-    let run = run_migrating_precopy_faulty(
+    let run = migrate(
         || BitonicSort::new(N),
         Architecture::sparc20(),
         Architecture::x86_64_sim(),
         NetworkModel::ethernet_10(),
         Trigger::AtPollCount(N / 4),
-        PrecopyConfig {
-            chunk_bytes: 4096,
-            ..bitonic_cfg()
+        Route::Precopy {
+            config: PrecopyConfig {
+                chunk_bytes: 4096,
+                ..bitonic_cfg()
+            },
+            faults: Some(plan),
         },
-        plan,
-        ArqConfig::default(),
+        &Obs::default(),
     )
     .expect("pre-copy over faulty link");
+    let stats = run.report.precopy.as_ref().expect("pre-copy stats");
     assert!(
         diff_results(&expected, &run.results).is_none(),
         "answers diverged"
     );
-    assert!(run.stats.identity_ok);
-    let faults = run.faults.expect("ARQ path reports fault counters");
+    assert!(stats.identity_ok);
+    let faults = run
+        .report
+        .recovery
+        .expect("ARQ path reports fault counters");
     assert!(
-        faults.faults_injected() > 0,
+        faults.faults_injected > 0,
         "seed injected nothing — weak test"
+    );
+}
+
+/// The freeze window opens when the final round's source freezes and
+/// closes at the destination's last restored frame, so it covers that
+/// leg's whole collection and restoration.
+#[test]
+fn freeze_window_covers_the_final_collect_and_restore() {
+    let run = migrate(
+        || BitonicSort::new(N),
+        Architecture::dec5000(),
+        Architecture::sparc20(),
+        NetworkModel::ethernet_100(),
+        Trigger::AtPollCount(N / 4),
+        Route::Precopy {
+            config: bitonic_cfg(),
+            faults: None,
+        },
+        &Obs::default(),
+    )
+    .expect("pre-copy migration");
+    let stats = run.report.precopy.as_ref().expect("pre-copy stats");
+    assert!(!stats.completed_on_source, "no freeze happened");
+    assert!(
+        stats.freeze_time >= run.report.collect_time + run.report.restore_time,
+        "freeze {:?} < collect {:?} + restore {:?}",
+        stats.freeze_time,
+        run.report.collect_time,
+        run.report.restore_time
     );
 }

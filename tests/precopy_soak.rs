@@ -10,8 +10,8 @@
 use std::time::Duration;
 
 use hpm_arch::Architecture;
-use hpm_migrate::{run_migrating_precopy_faulty, run_straight, PrecopyConfig, PrecopyRun, Trigger};
-use hpm_net::{ArqConfig, FaultPlan, NetworkModel};
+use hpm_migrate::{migrate, run_straight, MigrationRun, Obs, PrecopyConfig, Route, Trigger};
+use hpm_net::{FaultPlan, NetworkModel};
 use hpm_workloads::{diff_results, BitonicSort};
 
 const N: u64 = 1_200;
@@ -42,16 +42,18 @@ fn precopy_cfg() -> PrecopyConfig {
     }
 }
 
-fn run_one(seed: u64) -> PrecopyRun {
-    run_migrating_precopy_faulty(
+fn run_one(seed: u64) -> MigrationRun {
+    migrate(
         || BitonicSort::new(N),
         Architecture::dec5000(),
         Architecture::x86_64_sim(),
         NetworkModel::ethernet_10(),
         Trigger::AtPollCount(N / 4),
-        precopy_cfg(),
-        live_plan(seed),
-        ArqConfig::default(),
+        Route::Precopy {
+            config: precopy_cfg(),
+            faults: Some(live_plan(seed)),
+        },
+        &Obs::default(),
     )
     .unwrap_or_else(|e| panic!("seed {seed:#x}: pre-copy driver failed: {e}"))
 }
@@ -66,27 +68,31 @@ fn soak_precopy_bitonic_over_faulty_links() {
         for i in 0..SEEDS {
             let seed = 0x40E7_0000_0000_0000 | i;
             let run = run_one(seed);
+            let stats = run.report.precopy.as_ref().expect("pre-copy stats");
             assert!(
                 diff_results(&expect, &run.results).is_none(),
                 "seed {seed:#x}: WRONG ANSWER after pre-copy under faults"
             );
             assert!(
-                run.stats.identity_ok,
+                stats.identity_ok,
                 "seed {seed:#x}: a round's reconstructed image diverged"
             );
             assert!(
-                !run.stats.completed_on_source,
+                !stats.completed_on_source,
                 "seed {seed:#x}: no freeze happened — the soak is not \
                  exercising the delta rounds"
             );
             assert_eq!(
-                run.stats.fallbacks, 0,
+                stats.fallbacks, 0,
                 "seed {seed:#x}: the ARQ layer must absorb link faults; a \
                  digest refusal here means corruption leaked through"
             );
-            let faults = run.faults.expect("ARQ path reports fault counters");
-            faulty_runs += (faults.faults_injected() > 0) as u64;
-            total_faults += faults.faults_injected();
+            let faults = run
+                .report
+                .recovery
+                .expect("ARQ path reports fault counters");
+            faulty_runs += (faults.faults_injected > 0) as u64;
+            total_faults += faults.faults_injected;
             if i % 25 == 0 {
                 let rerun = run_one(seed);
                 assert_eq!(
@@ -94,7 +100,8 @@ fn soak_precopy_bitonic_over_faulty_links() {
                     "seed {seed:#x}: results drifted between identical runs"
                 );
                 assert_eq!(
-                    rerun.stats.bytes_per_round, run.stats.bytes_per_round,
+                    rerun.report.precopy.as_ref().map(|s| &s.bytes_per_round),
+                    Some(&stats.bytes_per_round),
                     "seed {seed:#x}: wire bytes not reproducible"
                 );
             }

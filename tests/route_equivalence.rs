@@ -8,7 +8,7 @@ use hpm_arch::Architecture;
 use hpm_core::{CollectStats, RestoreStats};
 use hpm_migrate::{
     migrate, run_straight, run_to_migration, MigError, MigratableProgram, MigrationPlan,
-    MigrationRun, Obs, PipelineConfig, Planning, RecoveryPolicy, Route, Trigger,
+    MigrationRun, Obs, PipelineConfig, Planning, PrecopyConfig, RecoveryPolicy, Route, Trigger,
 };
 use hpm_net::{FaultPlan, NetworkModel, WireCodec};
 use hpm_obs::{FlightRecorder, Tracer};
@@ -34,6 +34,35 @@ fn routes() -> Vec<(&'static str, Route)> {
                 config,
                 faults: FaultPlan::none(),
                 policy: RecoveryPolicy::default(),
+            },
+        ),
+    ]
+}
+
+/// Pre-copy over a clean channel and over ARQ. Its freeze leg collects
+/// the state the program reached after the rounds, so only the answers
+/// are comparable with the stop-and-copy routes.
+fn precopy_routes() -> Vec<(&'static str, Route)> {
+    let config = PrecopyConfig {
+        round_polls: 300,
+        max_rounds: 3,
+        dirty_threshold: 0.01,
+        chunk_bytes: 4096,
+        ..PrecopyConfig::default()
+    };
+    vec![
+        (
+            "precopy",
+            Route::Precopy {
+                config,
+                faults: None,
+            },
+        ),
+        (
+            "precopy_arq",
+            Route::Precopy {
+                config,
+                faults: Some(FaultPlan::none()),
             },
         ),
     ]
@@ -124,6 +153,35 @@ fn every_route_and_observer_computes_the_same_migration() {
 }
 
 #[test]
+fn precopy_computes_the_same_answers_and_audits() {
+    let make = || BitonicSort::new(2_000);
+    let (expect, _) = run_straight(&mut make(), Architecture::dec5000()).unwrap();
+    let reference = go(make, 1_000, Route::Image, &Obs::default()).unwrap();
+    assert_eq!(reference.results, expect);
+    for (route_name, route) in precopy_routes() {
+        for (obs_name, obs) in observers() {
+            let tag = format!("bitonic_2000/{route_name}/{obs_name}");
+            let run = go(make, 1_000, route, &obs).unwrap_or_else(|e| panic!("{tag}: {e}"));
+            assert_eq!(run.results, reference.results, "{tag}: answers");
+            let stats = run.report.precopy.as_ref().expect("pre-copy stats");
+            assert!(!stats.completed_on_source, "{tag}: no freeze happened");
+            assert!(stats.identity_ok, "{tag}: per-round identity");
+            assert!(run.report.registry_audit.is_some(), "{tag}: audit");
+            assert!(
+                run.report.render().contains("precopy.rounds"),
+                "{tag}: render"
+            );
+            assert_eq!(
+                run.report.recovery.is_some(),
+                route_name == "precopy_arq",
+                "{tag}: recovery group"
+            );
+            assert_eq!(run.report.trace.is_some(), obs.tracer.enabled(), "{tag}");
+        }
+    }
+}
+
+#[test]
 fn a_trigger_that_never_fires_is_the_same_error_on_every_route() {
     let never = 1 << 40;
     let expect = run_to_migration(
@@ -133,7 +191,7 @@ fn a_trigger_that_never_fires_is_the_same_error_on_every_route() {
     )
     .unwrap_err();
     assert!(matches!(expect, MigError::Protocol(_)), "{expect:?}");
-    for (route_name, route) in routes() {
+    for (route_name, route) in routes().into_iter().chain(precopy_routes()) {
         for (obs_name, obs) in observers() {
             let err = go(TestPointer::new, never, route, &obs).unwrap_err();
             assert_eq!(err, expect, "{route_name}/{obs_name}");

@@ -151,15 +151,19 @@ fn corrupted_payload_mid_stream_is_caught_by_crc() {
 
     let (a, b) = channel_pair(NetworkModel::instant());
     for (i, c) in chunks.iter().enumerate() {
-        let mut frame = hpm::xdr::frame_chunk_v2(i as u32, false, c);
+        let mut frame = hpm::xdr::frame_chunk_v3_stored(i as u32, false, c);
         if i as u32 == victim {
             let n = frame.len();
             frame[n - 2] ^= 0x40; // payload byte; header left intact
         }
         a.send(frame).unwrap();
     }
-    a.send(hpm::xdr::frame_chunk_v2(chunks.len() as u32, true, &[]))
-        .unwrap();
+    a.send(hpm::xdr::frame_chunk_v3_stored(
+        chunks.len() as u32,
+        true,
+        &[],
+    ))
+    .unwrap();
 
     let mut rx = ChunkReceiver::new(b);
     let prefix = rx.recv_chunk().unwrap().expect("prefix chunk");

@@ -1,5 +1,5 @@
 //! Wire-codec round-trip sweep: every architecture preset pair, with the
-//! image shipped stored (v2) and compressed (v3).
+//! image shipped stored and compressed (v3).
 //!
 //! The codec is transport dressing only. Whatever pair of machines the
 //! image travels between and whichever framing the planner picked, the
@@ -33,7 +33,7 @@ fn shipped_image_is_bit_identical_under_both_codecs() {
         let mut p = TestPointer::new();
         let mut src = run_to_migration(&mut p, arch.clone(), Trigger::AtPollCount(8)).unwrap();
         let image = src.to_image().unwrap();
-        for codec in [WireCodec::V2, WireCodec::V3] {
+        for codec in [WireCodec::Stored, WireCodec::V3] {
             let (a, b) = channel_pair(NetworkModel::instant());
             let mut tx = ChunkSender::new(&a).with_codec(codec);
             for part in image.chunks(512) {
@@ -70,7 +70,7 @@ fn every_preset_pair_roundtrips_stored_and_compressed() {
                 Trigger::AtPollCount(8),
             )
             .unwrap();
-            for codec in [WireCodec::V2, WireCodec::V3] {
+            for codec in [WireCodec::Stored, WireCodec::V3] {
                 let run = migrate(
                     TestPointer::new,
                     src.clone(),
@@ -97,8 +97,8 @@ fn every_preset_pair_roundtrips_stored_and_compressed() {
                     "{tag}: every image byte crosses the wire exactly once"
                 );
                 match codec {
-                    WireCodec::V2 => {
-                        assert_eq!(t.chunks_compressed, 0, "{tag}: v2 never compresses");
+                    WireCodec::Stored => {
+                        assert_eq!(t.chunks_compressed, 0, "{tag}: stored never compresses");
                         assert_eq!(t.raw_payload_bytes, t.wire_payload_bytes, "{tag}");
                     }
                     WireCodec::V3 => {
@@ -149,7 +149,7 @@ fn incompressible_stream_reports_its_codec_backoff() {
         .unwrap();
         (run, obs.recorder.dump())
     };
-    let (stored, _) = run(WireCodec::V2);
+    let (stored, _) = run(WireCodec::Stored);
     let (v3, dump) = run(WireCodec::V3);
     assert_eq!(v3.results, stored.results);
     let t = &v3.report.transfer;
